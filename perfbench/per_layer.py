@@ -85,7 +85,7 @@ class Round:
         self.rungs: List[Rung] = []
         self.traced_rung: Optional[Rung] = None
         self.handlers: List[Tuple[Optional[str], float, float]] = []
-        self.queue_waits: List[float] = []
+        self.queue_wait_p99: List[float] = []
         #: Exact counts seen so far, taken when the traced half ends.
         self.counts: Dict[str, float] = {}
 
@@ -107,11 +107,13 @@ class Round:
         self.handlers = [(bench_id, start, end) for phase, bench_id, start, end in tracer.handlers
                          if phase == "serve"]
         tracer.handlers.clear()
-        self.queue_waits = tracer.queue_waits.pop("serve", [])
+        self.queue_wait_p99 = tracer.queue_wait_p99.pop("serve", [])
+        counts = tracer.counts
         self.counts = {
-            "sweep.nodes": tracer.nodes_expanded("sweep"),
-            "cached.nodes": tracer.nodes_expanded("cached"),
-            "sweep.bits": tracer.counts[("sweep", "blackboard_bits")],
+            "sweep.nodes": counts[("sweep", "maxis.exact.nodes_expanded")],
+            "cached.nodes": counts[("cached", "maxis.exact.nodes_expanded.cold")]
+            + counts[("cached", "maxis.exact.nodes_expanded.warm")],
+            "sweep.bits": counts[("sweep", "theorem5.blackboard_bits")],
         }
 
 
@@ -157,24 +159,27 @@ def metrics(tracer: Tracer, rounds: List[Round], ledger: Ledger) -> Dict[str, An
     if tracer.counts[("sweep", "pool_fallbacks")] or values["sweep.parallel.workers"] < 2:
         ledger.fail("the traced pool did not run on 2 worker processes")
 
-    for phase in ("cached", "serve"):
-        values[f"{phase}.store.bytes_written"] = tracer.counts[(phase, "bytes_written")] / count
+    counts = tracer.counts
+    values["cached.store.bytes_written"] = (
+        counts[("cached", "cache.bytes_written.cold")] + counts[("cached", "cache.bytes_written.warm")]
+    ) / count
+    values["serve.store.bytes_written"] = counts[("serve", "cache.bytes_written")] / count
     for stage in ("cold", "warm"):
-        hits = tracer.counts[("cached", f"backend_hit.{stage}")]
-        misses = tracer.counts[("cached", f"backend_miss.{stage}")]
+        hits = counts[("cached", f"cache.hit.{stage}")]
+        misses = counts[("cached", f"cache.miss.{stage}")]
         values[f"cached.store.hit_ratio.{stage}"] = _ratio(hits, hits + misses)
     if values["cached.store.hit_ratio.warm"] != 1.0:
         ledger.fail("warm cached sweep missed the store", wrong=True)
 
     handler_ms: List[float] = []
     transport_ms: List[float] = []
-    queue_waits: List[float] = []
+    queue_wait_p99: List[float] = []
     dispositions: Dict[str, int] = {}
     late_ms: List[float] = []
     shed = repeats = posts = 0
     for current in rounds:
         rung = current.traced_rung
-        queue_waits += current.queue_waits
+        queue_wait_p99 += current.queue_wait_p99
         for bench_id, start, end in current.handlers:
             handler = (end - start) * 1000.0
             handler_ms.append(handler)
@@ -198,7 +203,7 @@ def metrics(tracer: Tracer, rounds: List[Round], ledger: Ledger) -> Dict[str, An
     values["serve.handler_ms_p50"] = quantile(handler_ms, 0.50)
     values["serve.handler_ms_p99"] = quantile(handler_ms, 0.99)
     values["serve.transport_ms_p50"] = quantile(transport_ms, 0.50)
-    values["serve.queue_wait_ms_p99"] = quantile(queue_waits, 0.99)
+    values["serve.queue_wait_ms_p99"] = statistics.median(queue_wait_p99) if queue_wait_p99 else 0.0
     values["serve.hit_ratio"] = _ratio(dispositions.get("cache_hit", 0), disposed)
     values["serve.coalesced_ratio"] = _ratio(dispositions.get("coalesced", 0), disposed)
     values["serve.repeat_share"] = _ratio(repeats, posts)

@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import loadgen
 from workloads import (
-    SERVE_GADGET,
+    GADGET_A,
     THEOREM1_SAMPLES,
     THEOREM2_SAMPLES,
     MaxISPool,
@@ -43,14 +43,6 @@ from workloads import (
 #: Worker processes of the parallel pass; the machine this was tuned on
 #: has two cores.
 POOL_WORKERS = 2
-
-#: A rung meets the latency limit when its p99 (a failed or refused
-#: request counted as the client timeout) is at most this many ms.
-LATENCY_LIMIT_MS = 500.0
-
-#: A rung's backlog grows when the generator sends the last tenth of its
-#: requests this many ms late or more (median), i.e. it fell behind.
-BACKLOG_LIMIT_MS = 50.0
 
 
 def quantile(values: Sequence[float], q: float) -> float:
@@ -137,8 +129,7 @@ def prepare() -> Environment:
     from repro.parallel import run_units  # noqa: F401
     from repro.serve import Application, BackgroundServer
 
-    ell, alpha, t = SERVE_GADGET
-    construction = LinearConstruction(GadgetParameters(ell=ell, alpha=alpha, t=t))
+    construction = LinearConstruction(GadgetParameters(**GADGET_A))
     for spec in store.JOB_SPECS.values():
         store.combined_fingerprint(spec.modules)
     for modules in (store.MAXIS_MODULES, store.GADGET_MODULES, store.CODE_MODULES):
@@ -307,8 +298,10 @@ class CachedStore:
 class Rung:
     """Open-loop traffic at one rate and everything measured on it.
 
-    A rung is sent in one or more chunks, each against a fresh store;
-    :meth:`merge` pools the chunks of one rate.
+    The nominal rate is sent in several chunks, each against a fresh
+    store; :meth:`merge` pools them.  A saturation probe is a rung whose
+    requests are all due at once, so its answered rate is the most the
+    service sustains over the generator's connections.
     """
 
     def __init__(self, rate: float, plan: List[loadgen.Planned], outcomes: List[loadgen.Outcome]) -> None:
@@ -360,13 +353,6 @@ class Rung:
         """Requests answered 200 per second of traffic."""
         return self.succeeded / self.span_s if self.span_s else 0.0
 
-    @property
-    def meets_limit(self) -> bool:
-        return (
-            quantile(self.latencies_ms(), 0.99) <= LATENCY_LIMIT_MS
-            and self.backlog_ms < BACKLOG_LIMIT_MS
-        )
-
     def record(self) -> Dict[str, Any]:
         latencies = self.latencies_ms()
         return {
@@ -382,12 +368,11 @@ class Rung:
             "late_ms_p99": round(quantile([o.late_ms for o in self.outcomes], 0.99), 3),
             "backlog_ms": round(self.backlog_ms, 3),
             "achieved_rps": round(self.achieved_rps, 3),
-            "meets_limit": self.meets_limit,
             "dispositions": dict(sorted(self.dispositions.items())),
         }
 
 
-def serve_rung(env: Environment, traffic: Traffic, duration_s: float, workdir: Path) -> Rung:
+def serve_rung(env: Environment, traffic: Traffic, rate: float, duration_s: float, workdir: Path) -> Rung:
     """Send one chunk of ``traffic`` against a fresh in-memory store.
 
     The service's disk store costs a synced sqlite write per miss and a
@@ -395,13 +380,25 @@ def serve_rung(env: Environment, traffic: Traffic, duration_s: float, workdir: P
     much between runs that no latency percentile stays within a bound.
     The cached sweep measures the disk store; serving from memory keeps
     this phase on HTTP, dispatch, keys and compute.
-    """
-    from repro import store
 
-    plan = traffic.chunk(duration_s)
-    with store.using_store("memory"):
-        outcomes = loadgen.drive("127.0.0.1", env.server.port, plan, POOL_WORKERS, workdir)
-    return Rung(traffic.rate, plan, outcomes)
+    The process recorder is on while the service runs, as ``repro
+    serve`` always has it; outside the traced run its data is dropped
+    after each chunk.
+    """
+    from repro import obs, store
+
+    plan = traffic.chunk(rate, duration_s)
+    recorder = obs.get_recorder()
+    was_enabled = recorder.enabled
+    recorder.enabled = True
+    try:
+        with store.using_store("memory"):
+            outcomes = loadgen.drive("127.0.0.1", env.server.port, plan, POOL_WORKERS, workdir)
+    finally:
+        recorder.enabled = was_enabled
+        if not was_enabled:
+            recorder.clear_closed()
+    return Rung(rate, plan, outcomes)
 
 
 def check_rung(rung: Rung, pool: MaxISPool, expected: Dict[Any, Any], ledger: Ledger) -> None:

@@ -2,14 +2,14 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload paper_fresh --seed 1 --seconds 50 --trace 0
+    python3 perfbench/run.py --workload full_grid --seed 1 --seconds 50 --trace 0
 
 With ``--trace 0`` the run measures every end-to-end metric with no
 wrapper installed; with ``--trace 1`` it alternates untraced and traced
 rounds of fixed work and reports per-layer metrics.  The last line of
 standard output is the result: ``{"correct", "attempted", "failed",
 "metrics"}``; the line before it records the run's configuration (seed,
-worker count, rate ladder, ``nproc``) and its failure accounting.
+worker count, serve rates, ``nproc``) and its failure accounting.
 ``README.md`` describes the workloads and every metric.
 """
 
@@ -35,19 +35,29 @@ SOURCE = HERE.parent / "src"
 SETUP_PROBES = 5
 
 #: Shares of ``--seconds`` given to each phase of an untraced run: the
-#: sweeps, the cold and the warm cached passes, the nominal serve rung
-#: (sent in chunks of about ``NOMINAL_CHUNK_S``) and each other rung.
-SWEEP_SHARE = 0.40
-COLD_SHARE = 0.12
+#: sweeps, the cold and the warm cached passes, the nominal serve rate
+#: (sent in chunks of ``NOMINAL_CHUNK_S``) and the saturation probes.
+SWEEP_SHARE = 0.36
+COLD_SHARE = 0.10
 WARM_SHARE = 0.01
-NOMINAL_SHARE = 0.40
-NOMINAL_CHUNK_S = 3.0
-RUNG_SHARE = 0.03
+NOMINAL_SHARE = 0.25
+NOMINAL_CHUNK_S = 2.5
+SATURATE_SHARE = 0.25
+
+#: The serve traffic's nominal rate (requests/s), about a quarter of what
+#: the service answers, where latency follows the work more than the queue.
+NOMINAL_RPS = 60.0
+
+#: A saturation probe: ``SATURATE_CYCLES`` cycles of the traffic, all due
+#: at once, so each connection sends its next request as soon as the
+#: previous answer arrives.
+SATURATE_CYCLES = 30
+SATURATE_RPS = 1.0e6
 
 #: Warm passes after the cold pass in each traced round.
 TRACE_WARM_PASSES = 10
 
-#: Share of ``--seconds`` for each serve rung of a traced round.
+#: Share of ``--seconds`` for the serve rung of a traced round.
 TRACE_RUNG_SHARE = 0.08
 
 
@@ -106,32 +116,14 @@ class Run:
     def _unit_seed(self) -> int:
         return self.sweep_rng.randrange(1 << 30)
 
-    def _traffic(self, construction: Any, items: List[Tuple[float, float]]) -> Dict[float, Any]:
-        """One :class:`Traffic` per rate, with bodies cut from ``construction``."""
-        from workloads import MaxISPool, Traffic, pool_size, seed_stream
+    def _traffic(self, pool: Any, purpose: str) -> Any:
+        from workloads import Traffic, seed_stream
 
-        size = max(pool_size(self.workload, rate, seconds) for rate, seconds in items)
-        pool = MaxISPool(construction, seed_stream(self.seed, "pool"), size)
-        return {
-            rate: Traffic(self.workload, pool, seed_stream(self.seed, f"serve:{rate}"), rate)
-            for rate, _ in items
-        }
+        return Traffic(pool, seed_stream(self.seed, f"serve:{purpose}"))
 
     # ------------------------------------------------------------------
     # Untraced: the end-to-end metrics
     # ------------------------------------------------------------------
-
-    def _serve_items(self) -> List[Tuple[float, float]]:
-        """``(rate, seconds)`` chunks: the nominal rung cut into pieces,
-        with the other rungs spread between them."""
-        workload = self.workload
-        nominal_s = NOMINAL_SHARE * self.seconds
-        chunks = max(1, round(nominal_s / NOMINAL_CHUNK_S))
-        items = [(workload.nominal_rps, nominal_s / chunks)] * chunks
-        others = [rate for rate in workload.ladder if rate != workload.nominal_rps]
-        for number, rate in enumerate(others, start=1):
-            items.insert(number * len(items) // (len(others) + 1), (rate, RUNG_SHARE * self.seconds))
-        return items
 
     def measure(self) -> Dict[str, Any]:
         """Interleave the phases over ``--seconds`` and report end to end.
@@ -142,17 +134,18 @@ class Run:
         probes are spread evenly; each metric then samples the whole run.
         """
         from phases import (
-            LATENCY_LIMIT_MS, POOL_WORKERS, CachedStore, Rung, check_rung, prepare,
-            quantile, reference_output, serve_rung, sweep_pass,
+            POOL_WORKERS, CachedStore, Rung, check_rung, prepare, quantile,
+            reference_output, serve_rung, sweep_pass,
         )
+        from workloads import CYCLE, MaxISPool
 
         workload = self.workload
-        items = self._serve_items()
         shares = {
             "sweep": SWEEP_SHARE,
             "cold": COLD_SHARE,
             "warm": WARM_SHARE,
-            "serve": sum(seconds for _, seconds in items) / self.seconds,
+            "nominal": NOMINAL_SHARE,
+            "saturate": SATURATE_SHARE,
         }
         spent = dict.fromkeys(shares, 0.0)
         setup: List[float] = []
@@ -163,12 +156,16 @@ class Run:
         warm: List[float] = []
         outputs: List[Tuple[int, Dict[str, str]]] = []
         simulations: List[Any] = []
-        chunks: List[Any] = []
+        nominal_chunks: List[Any] = []
+        saturated: List[Any] = []
+        saturate_s = SATURATE_CYCLES * len(CYCLE) / SATURATE_RPS
         cached: Optional[CachedStore] = None
         passes = 0
         env = prepare()
         try:
-            traffic = self._traffic(env.construction, items)
+            pool = MaxISPool(env.construction)
+            nominal_traffic = self._traffic(pool, "nominal")
+            saturate_traffic = self._traffic(pool, "saturate")
             start = time.perf_counter()
             deadline = start + self.seconds
             while True:
@@ -184,7 +181,8 @@ class Run:
                         ("sweep", now < deadline or passes < 3),
                         ("cold", (now < deadline or len(cold) < 2) and len(cold) < len(outputs)),
                         ("warm", (now < deadline or len(warm) < 2) and bool(cold)),
-                        ("serve", len(chunks) < len(items)),
+                        ("nominal", now < deadline or len(nominal_chunks) < 2),
+                        ("saturate", now < deadline or len(saturated) < 3),
                     )
                     if wanted
                 ]
@@ -212,9 +210,14 @@ class Run:
                     cold.append(cached.cold(self.ledger))
                 elif phase == "warm":
                     warm.append(cached.warm(self.ledger))
+                elif phase == "nominal":
+                    nominal_chunks.append(
+                        serve_rung(env, nominal_traffic, NOMINAL_RPS, NOMINAL_CHUNK_S, self.workdir)
+                    )
                 else:
-                    rate, seconds = items[len(chunks)]
-                    chunks.append(serve_rung(env, traffic[rate], seconds, self.workdir))
+                    saturated.append(
+                        serve_rung(env, saturate_traffic, SATURATE_RPS, saturate_s, self.workdir)
+                    )
                 spent[phase] += time.perf_counter() - now
         finally:
             if cached is not None:
@@ -225,29 +228,28 @@ class Run:
 
         self._check_simulations(simulations)
         expected: Dict[Any, Any] = {}
-        for chunk in chunks:
-            check_rung(chunk, traffic[chunk.rate].pool, expected, self.ledger)
+        for chunk in nominal_chunks + saturated:
+            check_rung(chunk, pool, expected, self.ledger)
         if outputs:
             unit_seed, output = outputs[0]
             if reference_output(workload, unit_seed) != list(output.values()):
                 self.ledger.fail(f"sweep seed {unit_seed}: differs from the core reference", wrong=True)
 
-        rungs = [
-            Rung.merge([chunk for chunk in chunks if chunk.rate == rate])
-            for rate in workload.ladder
-        ]
-        nominal = rungs[workload.ladder.index(workload.nominal_rps)]
-        passing = [rung.achieved_rps for rung in rungs if rung.meets_limit]
+        nominal = Rung.merge(nominal_chunks)
         self.record.update(
             workers=POOL_WORKERS,
-            ladder=list(workload.ladder),
-            nominal_rps=workload.nominal_rps,
-            latency_limit_ms=LATENCY_LIMIT_MS,
+            nominal_rps=NOMINAL_RPS,
+            saturate_requests=SATURATE_CYCLES * len(CYCLE),
             setup_samples_s=setup,
+            sweep_samples_s={
+                "serial": serial, "parallel": parallel, "simulate": simulate,
+                "cold": cold, "warm": warm,
+            },
             sweep_passes=passes,
             cold_passes=len(cold),
             warm_passes=len(warm),
-            rungs=[rung.record() for rung in rungs],
+            nominal=nominal.record(),
+            saturated=[rung.record() for rung in saturated],
         )
         return {
             "setup_s": _metric(_median(setup), "s"),
@@ -258,7 +260,7 @@ class Run:
             "cold_sweep_s": _metric(_median(cold), "s"),
             "warm_sweep_s": _metric(_median(warm), "s"),
             "serve_p50_ms": _metric(quantile(nominal.latencies_ms(), 0.50), "ms"),
-            "serve_max_rps": _metric(max(passing, default=0.0), "1/s"),
+            "serve_max_rps": _metric(_median([rung.achieved_rps for rung in saturated]), "1/s"),
         }
 
     def _check_simulations(self, simulations: List[List[List[Any]]]) -> None:
@@ -274,15 +276,14 @@ class Run:
         import per_layer
         from phases import POOL_WORKERS, CachedStore, check_rung, prepare, serve_rung, sweep_pass
         from spans import Tracer
-        from workloads import Traffic, seed_stream
+        from workloads import MaxISPool
 
         workload = self.workload
         tracer = Tracer()
         env = prepare()
         unit_seed = self._unit_seed()
         rung_s = TRACE_RUNG_SHARE * self.seconds
-        rate = workload.nominal_rps
-        pool = self._traffic(env.construction, [(rate, rung_s)])[rate].pool
+        pool = MaxISPool(env.construction)
         rounds: List[per_layer.Round] = []
         try:
             deadline = time.perf_counter() + self.seconds
@@ -292,26 +293,25 @@ class Run:
                     if traced:
                         tracer.install()
                     try:
-                        tracer.phase = "sweep"
+                        tracer.begin("sweep")
                         result = sweep_pass(workload, unit_seed, self.ledger)
                         current.add_sweep(traced, result)
-                        tracer.phase = "cached"
                         if result.output is not None:
                             cached = CachedStore(unit_seed, result.output, self.workdir / "cached-store")
-                            tracer.stage = "cold"
+                            tracer.begin("cached", "cold")
                             cold_s = cached.cold(self.ledger)
-                            tracer.stage = "warm"
+                            tracer.begin("cached", "warm")
                             warm_s = [cached.warm(self.ledger) for _ in range(TRACE_WARM_PASSES)]
                             cached.close()
                             current.add_cached(traced, cold_s, warm_s)
-                        tracer.phase = "serve"
+                        tracer.begin("serve")
                         # The same traffic every time.
-                        traffic = Traffic(workload, pool, seed_stream(self.seed, f"serve:{rate}"), rate)
-                        current.add_rung(traced, serve_rung(env, traffic, rung_s, self.workdir))
+                        traffic = self._traffic(pool, "nominal")
+                        current.add_rung(traced, serve_rung(env, traffic, NOMINAL_RPS, rung_s, self.workdir))
                     finally:
-                        tracer.phase = "idle"
                         if traced:
                             tracer.uninstall()
+                        tracer.begin("idle")
                 current.close_traced(tracer)
                 rounds.append(current)
         finally:
@@ -322,7 +322,7 @@ class Run:
                 check_rung(rung, pool, expected, self.ledger)
         self.record.update(
             workers=POOL_WORKERS,
-            ladder=[rate],
+            nominal_rps=NOMINAL_RPS,
             traced_rounds=len(rounds),
             trace_seed=unit_seed,
         )

@@ -8,6 +8,10 @@ layer's *self* time, a span's duration minus the time its child spans
 cover, and its call count (a call nested directly inside a span of the
 same layer, such as ``key_for`` calling ``derive_key``, is one call).
 
+Exact counts come from the repository's own recorder (``repro.obs``):
+:meth:`Tracer.install` turns it on, and :meth:`Tracer.begin` books its
+counters under the phase that ran before clearing them for the next.
+
 Nothing under ``src/`` changes.  Wrappers are installed by
 :meth:`Tracer.install` and removed by :meth:`Tracer.uninstall`; the
 untraced runs never install them.
@@ -56,27 +60,35 @@ LAYERS = (
     "serve.compute",
 )
 
+#: The recorder's counters booked per phase (and per stage).
+COUNTERS = (
+    "maxis.exact.nodes_expanded",
+    "theorem5.blackboard_bits",
+    "cache.bytes_written",
+    "cache.hit",
+    "cache.miss",
+)
+
 #: Threads of ``repro.serve`` (event loop and dispatcher) start with this.
 _SERVE_THREAD_PREFIX = "repro-serve"
 
 
 class Tracer:
-    """In-memory spans plus the exact counts read at the same boundaries."""
+    """In-memory spans plus the recorder's counts, filed per phase."""
 
     def __init__(self) -> None:
         #: ``[layer, phase, start, end, parent]`` per finished span.
         self.spans: List[list] = []
         #: Detached ``(phase, bench id, start, end)`` handler intervals.
         self.handlers: List[Tuple[str, Optional[str], float, float]] = []
-        #: Dispatcher queue waits in ms, per phase.
-        self.queue_waits: Dict[str, List[float]] = defaultdict(list)
-        #: Exact counts, keyed ``(phase, name)``.
+        #: p99 of the recorder's ``serve.queue_wait_ms`` per traced phase.
+        self.queue_wait_p99: Dict[str, List[float]] = defaultdict(list)
+        #: Exact counts, keyed ``(phase, name)``; a counter booked in a
+        #: stage is named ``<counter>.<stage>``.
         self.counts: Dict[Tuple[str, str], float] = defaultdict(float)
-        #: ``(phase, BranchAndBoundStats)`` for every solve started.
-        self.solver_stats: List[Tuple[str, Any]] = []
-        #: Set by the harness; spans and counts are filed under it.
+        #: Set by :meth:`begin`; spans and counts are filed under it.
         self.phase = "setup"
-        #: Sub-label for hit-ratio accounting (``cold``/``warm``/...).
+        #: Sub-label for hit-ratio accounting (``cold``/``warm``).
         self.stage = ""
         self._local = threading.local()
         self._patches: List[Tuple[Any, str, Any]] = []
@@ -126,6 +138,26 @@ class Tracer:
     def count(self, name: str, amount: float = 1.0) -> None:
         self.counts[(self.phase, name)] += amount
 
+    def begin(self, phase: str, stage: str = "") -> None:
+        """File what follows under ``phase`` and ``stage``.
+
+        While installed, the recorder's counters so far are booked under
+        the phase that ends here, and then cleared.
+        """
+        from repro import obs
+
+        if self._patches:
+            recorder = obs.get_recorder()
+            suffix = f".{self.stage}" if self.stage else ""
+            for name in COUNTERS:
+                self.count(name + suffix, recorder.counters.get(name, 0))
+            waits = recorder.histograms.get("serve.queue_wait_ms")
+            if waits is not None and waits.count:
+                self.queue_wait_p99[self.phase].append(waits.quantile(0.99))
+            recorder.clear_closed()
+        self.phase = phase
+        self.stage = stage
+
     # ------------------------------------------------------------------
     # Installation
     # ------------------------------------------------------------------
@@ -158,7 +190,8 @@ class Tracer:
                     self._patch(module, attribute, traced)
 
     def install(self) -> None:
-        """Wrap every layer's public entry points (idempotent per install)."""
+        """Wrap every layer's public entry points and turn the recorder on."""
+        from repro import obs
         from repro.codes import code_mapping
         from repro.core.experiments import (
             LinearLowerBoundExperiment,
@@ -170,13 +203,15 @@ class Tracer:
         from repro.maxis import exact, kernel
         from repro.parallel import backends, engine, jobs
         from repro.serve.app import Application
-        from repro.serve.dispatch import Dispatcher
         from repro.store import codecs, fingerprint, keys
         from repro.store.backends import DiskBackend, MemoryBackend
         from repro.store.store import ResultStore
 
         if self._patches:
             raise RuntimeError("tracer already installed")
+        recorder = obs.get_recorder()
+        recorder.clear_closed()
+        recorder.enabled = True
         for cls in (LinearConstruction, QuadraticConstruction):
             self._patch_method(cls, "__init__", "gadgets.build")
             self._patch_method(cls, "apply_inputs", "gadgets.apply_inputs")
@@ -184,18 +219,9 @@ class Tracer:
         self._patch_method(WeightedGraph, "solver_index_form", "graphs.index_form")
         self._patch_function(kernel.kernelize, "maxis.kernel")
         self._patch_function(exact.max_weight_independent_set, "maxis.search")
-        # The solver's own counter lives on the stats object of each
-        # solve; keep every one made and sum ``nodes_expanded`` at the end.
-        self._hook_method(
-            exact.BranchAndBoundStats, "__init__",
-            lambda args: self.solver_stats.append((self.phase, args[0])),
-        )
         self._patch_function(code_mapping.code_mapping_for_parameters, "codes.mapping")
         self._patch_function(cut.cut_size, "framework.cut")
-        self._patch_function(
-            theorem5.simulate_congest_via_players, "framework.simulate",
-            after=lambda _, report: self.count("blackboard_bits", report.blackboard_bits),
-        )
+        self._patch_function(theorem5.simulate_congest_via_players, "framework.simulate")
         for cls in (LinearLowerBoundExperiment, QuadraticLowerBoundExperiment):
             self._patch_method(cls, "run", "core.experiment")
         self._patch_function(engine.run_units, "parallel.run_units")
@@ -217,28 +243,20 @@ class Tracer:
             self._patch_method(codec_class, "encode", "store.encode")
             self._patch_method(codec_class, "decode", "store.decode")
         for backend in (DiskBackend, MemoryBackend):
-            self._patch_method(
-                backend, "put", "store.backend.put",
-                after=lambda args, _: self.count("bytes_written", len(args[3])),
-            )
-            self._patch_method(
-                backend, "get", "store.backend.get",
-                after=lambda _, entry: self.count(
-                    f"backend_{'hit' if entry is not None else 'miss'}.{self.stage}"
-                ),
-            )
+            self._patch_method(backend, "put", "store.backend.put")
+            self._patch_method(backend, "get", "store.backend.get")
         self._patch(Application, "dispatch", self._timed_dispatch(Application.dispatch))
-        self._patch(Dispatcher, "submit", self._timed_submit(Dispatcher.submit))
 
     def uninstall(self) -> None:
-        """Restore every patched attribute, newest first."""
+        """Book the last phase, turn the recorder off, restore every
+        patched attribute, newest first."""
+        from repro import obs
+
+        self.begin("idle")
+        obs.get_recorder().enabled = False
         for owner, attribute, original in reversed(self._patches):
             setattr(owner, attribute, original)
         self._patches.clear()
-
-    def nodes_expanded(self, phase: str) -> int:
-        """Search nodes the solver expanded in ``phase`` (in this process)."""
-        return sum(stats.nodes_expanded for label, stats in self.solver_stats if label == phase)
 
     def _note_serial_fallback(self, args: tuple) -> None:
         """A serial run nested inside a pool run means the pool fell back."""
@@ -257,22 +275,6 @@ class Tracer:
                 tracer.handlers.append(
                     (tracer.phase, request.headers.get("x-bench-id"), start, time.perf_counter())
                 )
-
-        return traced
-
-    def _timed_submit(self, submit: Callable[..., Any]) -> Callable[..., Any]:
-        tracer = self
-
-        @functools.wraps(submit)
-        def traced(dispatcher: Any, fn: Callable[[], Any]) -> Any:
-            submitted = time.perf_counter()
-            phase = tracer.phase
-
-            def timed() -> Any:
-                tracer.queue_waits[phase].append((time.perf_counter() - submitted) * 1000.0)
-                return fn()
-
-            return submit(dispatcher, timed)
 
         return traced
 

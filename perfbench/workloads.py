@@ -1,94 +1,48 @@
 """The benchmark's workloads and the seeded inputs they feed the program.
 
 Every workload runs the same three phases (see ``README.md``): the
-paper sweeps with the cache off, the same sweeps through a fresh disk
-store, and open-loop HTTP traffic to ``repro serve``.  What a workload
-fixes is the input regime: how large the sweep grid is, how large the
-submitted MaxIS instances are, and how much of the HTTP traffic repeats
-earlier work.  All randomness comes from the ``--seed`` argument; the
-program only ever sees the generated units and request bodies.
+paper sweeps with the cache off, the small grid through a fresh disk
+store, and open-loop HTTP traffic to ``repro serve``'s application.  The
+workloads differ only in the grid of the uncached sweep; the cached
+sweep and the serve traffic are the same in both.  All randomness comes
+from the ``--seed`` argument; the program only ever sees the generated
+units and request bodies.
 """
 
 from __future__ import annotations
 
-import bisect
 import json
 import random
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
 from loadgen import Planned
 
 
 class Workload:
-    """One input regime: sweep grid, serve instance size, traffic mix.
+    """One grid for the uncached sweep: Theorem 1 and Theorem 2 up to a ``t``."""
 
-    The rates are set so the nominal rung keeps the service about a
-    quarter busy, where its latency tracks the work more than queueing,
-    and the top rung is about twice what the service can answer.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        theorem1_max_t: int,
-        theorem2_max_t: int,
-        mix: Dict[str, float],
-        ladder: Tuple[float, ...],
-        nominal_rps: float,
-    ) -> None:
+    def __init__(self, name: str, theorem1_max_t: int, theorem2_max_t: int) -> None:
         self.name = name
         self.theorem1_max_t = theorem1_max_t
         self.theorem2_max_t = theorem2_max_t
-        self.mix = mix
-        #: Arrival rates (requests/s) of the serve rungs, lowest first;
-        #: the nominal rung runs longest and gives the latency metrics.
-        self.ladder = ladder
-        self.nominal_rps = nominal_rps
 
 
 WORKLOADS: Dict[str, Workload] = {
     workload.name: workload
     for workload in (
-        # Paper-size grids and mostly first-time MaxIS solves: the exact
-        # solver and the store's write path carry the cost.
-        Workload(
-            "paper_fresh",
-            theorem1_max_t=5,
-            theorem2_max_t=4,
-            mix={"miss": 0.45, "hit": 0.15, "dup": 0.10, "gadget": 0.10,
-                 "claim": 0.10, "health": 0.10},
-            ladder=(12, 25, 200),
-            nominal_rps=25,
-        ),
-        # Small grids and mostly repeated requests: per-call overheads,
-        # store keys, HTTP and dispatch carry the cost.
-        Workload(
-            "small_repeat",
-            theorem1_max_t=4,
-            theorem2_max_t=3,
-            mix={"miss": 0.10, "hit": 0.50, "dup": 0.10, "gadget": 0.10,
-                 "claim": 0.10, "health": 0.10},
-            ladder=(15, 30, 300),
-            nominal_rps=30,
-        ),
+        # The paper's grid: Theorem 1 at t=2..5 and every point of
+        # ``THEOREM2_POINTS``; the exact solver carries the sweep's cost.
+        Workload("full_grid", theorem1_max_t=5, theorem2_max_t=4),
+        # The small grid the cached sweep also uses: per-call overheads
+        # and the CONGEST simulation weigh as much as the search.
+        Workload("small_grid", theorem1_max_t=4, theorem2_max_t=3),
     )
 }
-
-#: The gadget every submitted MaxIS instance is cut from: the linear
-#: construction at ell=2, alpha=1, t=3 (36 nodes, 9 input bits).
-SERVE_GADGET = (2, 1, 3)
 
 #: Work units per sweep: Theorem 1 and Theorem 2 at the CLI's default
 #: sample counts (2 and 1 per promise side).
 THEOREM1_SAMPLES = 2
 THEOREM2_SAMPLES = 1
-
-#: Request bodies that are not MaxIS solves: two gadget builds and two
-#: linear claims, each computed once per fresh store and then repeated.
-GADGET_PARAMS = ({"ell": 2, "alpha": 1, "t": 2}, {"ell": 2, "alpha": 1, "t": 3})
-CLAIMS = ("Claim 3", "Claim 5")
-CLAIM_PARAMS = {"ell": 2, "alpha": 1, "t": 2}
-CLAIM_SAMPLES = 2
 
 
 def seed_stream(seed: int, purpose: str) -> random.Random:
@@ -112,7 +66,7 @@ def sweep_units(workload: Workload, unit_seed: int) -> List[Any]:
 
 
 #: The cached sweep's grid in every workload: Theorem 1 up to t=4 and
-#: Theorem 2 up to t=3, where a cold pass takes under a second.
+#: Theorem 2 up to t=3, where a cold pass takes about a second.
 CACHED_THEOREM1_MAX_T = 4
 CACHED_THEOREM2_MAX_T = 3
 
@@ -128,16 +82,44 @@ def cached_units(unit_seed: int) -> List[Any]:
     )
 
 
+# ----------------------------------------------------------------------
+# Serve traffic
+# ----------------------------------------------------------------------
+
+#: The serve traffic repeats the 12-request cycle of ``_request_pattern``
+#: in ``benchmarks/bench_serve.py``, the repository's own serve load
+#: plan: 5 gadget builds, 3 claim checks, 2 MaxIS solves, one /health
+#: and one /metrics.  Its bodies are the same: the linear gadget at
+#: ``GADGET_A`` and ``GADGET_B``, and the first linear claim at
+#: ``GADGET_A`` with 2 samples, repeated in every cycle.
+CYCLE = (
+    "gadget_a", "gadget_a", "claim", "gadget_b", "claim", "health",
+    "maxis", "gadget_a", "maxis", "claim", "metrics", "gadget_b",
+)
+GADGET_A = {"ell": 2, "alpha": 1, "t": 2}
+GADGET_B = {"ell": 2, "alpha": 1, "t": 3}
+CLAIM_SAMPLES = 2
+
+#: Two departures from that plan, both from the benchmark's issue
+#: ("exact solves on distinct seeded gadget instances", "near-simultaneous
+#: duplicates"): each cycle's MaxIS pair is an exact solve of a new
+#: instance of the ``GADGET_A`` graph (so each cycle has one miss), and
+#: its second request is due with its first, so it can coalesce onto it.
+#: bench_serve.py gets its duplicates concurrent by dealing the plan to
+#: 12 closed-loop workers; an open loop has to schedule them so.
+MAXIS_SLOTS = (6, 8)
+
+
 class MaxISPool:
-    """Distinct gadget instances ``G_x`` as ready-to-send request bodies.
+    """Every gadget instance ``G_x`` of the serve gadget, as request bodies.
 
     The fixed graph is built and serialized once; each instance only
     rewrites the weights of the ``A`` nodes (``ell`` where the player's
-    input bit is set), so bodies are cheap to make and every pattern
-    gives a distinct graph, hence a distinct store key.
+    input bit is set), so every pattern gives a distinct graph, hence a
+    distinct store key.  ``GADGET_A`` has 6 input bits: 64 instances.
     """
 
-    def __init__(self, construction: Any, rng: random.Random, size: int) -> None:
+    def __init__(self, construction: Any) -> None:
         from repro.graphs.serialize import encode_node, graph_to_dict
 
         params = construction.params
@@ -152,10 +134,9 @@ class MaxISPool:
             for i in range(t)
             for m in range(params.k)
         ]
-        patterns = 1 << len(a_positions)
         edges = json.dumps(document["edges"])
         self.bodies: List[bytes] = []
-        for pattern in rng.sample(range(patterns), min(size, patterns)):
+        for pattern in range(1 << len(a_positions)):
             nodes = [dict(entry) for entry in document["nodes"]]
             for bit, index in enumerate(a_positions):
                 if (pattern >> bit) & 1:
@@ -173,65 +154,45 @@ def _post(due_s: float, path: str, document: Dict[str, Any], check: Any) -> Plan
 
 
 class Traffic:
-    """Open-loop traffic at one rate, cut into chunks.
+    """Open-loop traffic: the request cycle at a given rate, cut into chunks.
 
-    Arrivals are evenly spaced; each draws its kind from the workload's
-    mix.  ``miss`` sends a MaxIS instance not yet sent in the chunk,
-    ``hit`` repeats one sent at least 0.1 s earlier, ``dup`` sends a new
-    instance twice at the same instant (so the second can coalesce onto
-    the first), and ``gadget``/``claim``/``health`` hit the other
-    endpoints.  Every chunk goes to a fresh store, so each starts over
-    with the pool; the random stream runs on, so chunks differ.
+    Arrivals are evenly spaced, except that each MaxIS pair shares a due
+    time.  Every chunk goes to a fresh store, so each starts over; the
+    random stream runs on, so chunks draw their instances in another
+    order.  A chunk of more than 64 cycles repeats instances (hits).
     """
 
-    def __init__(self, workload: Workload, pool: MaxISPool, rng: random.Random, rate: float) -> None:
-        self.rate = rate
+    def __init__(self, pool: MaxISPool, rng: random.Random) -> None:
+        from repro.core import linear_claim_names
+        from repro.gadgets import GadgetParameters
+
         self.pool = pool
         self.rng = rng
-        self.kinds = sorted(workload.mix)
-        self.weights = [workload.mix[kind] for kind in self.kinds]
+        self.claim = linear_claim_names(GadgetParameters(**GADGET_A))[0]
 
-    def chunk(self, duration_s: float) -> List[Planned]:
-        """``duration_s`` of traffic; due times start at 0."""
-        rng = self.rng
+    def chunk(self, rate: float, duration_s: float) -> List[Planned]:
+        """``duration_s`` of traffic at ``rate`` requests/s; due times start at 0."""
+        order = self.rng.sample(range(len(self.pool.bodies)), len(self.pool.bodies))
         plan: List[Planned] = []
-        fresh = iter(range(len(self.pool.bodies)))
-        sent_due: List[float] = []
-        sent: List[int] = []
-        for slot in range(int(self.rate * duration_s)):
-            due = slot / self.rate
-            kind = rng.choices(self.kinds, self.weights)[0]
-            if kind in ("miss", "dup", "hit"):
-                settled = bisect.bisect_right(sent_due, due - 0.1)
-                index = next(fresh, None) if kind != "hit" or not settled else None
-                copies = 2 if kind == "dup" else 1
-                if index is None:
-                    # A repeat, or the pool has no fresh instance left.
-                    index = sent[rng.randrange(settled)]
-                    copies = 1
-                else:
-                    sent_due.append(due)
-                    sent.append(index)
-                body = self.pool.bodies[index]
-                plan += [Planned(due, "POST", "/v1/maxis", body, ("maxis", index))] * copies
-            elif kind == "gadget":
-                params = rng.choice(GADGET_PARAMS)
+        for slot in range(int(rate * duration_s)):
+            cycle, position = divmod(slot, len(CYCLE))
+            kind = CYCLE[position]
+            due = (slot - (position - MAXIS_SLOTS[0] if position in MAXIS_SLOTS else 0)) / rate
+            if kind == "maxis":
+                index = order[cycle % len(order)]
+                plan.append(Planned(due, "POST", "/v1/maxis", self.pool.bodies[index], ("maxis", index)))
+            elif kind in ("gadget_a", "gadget_b"):
+                params = GADGET_A if kind == "gadget_a" else GADGET_B
                 document = {"construction": "linear", "params": params}
                 plan.append(_post(due, "/v1/gadgets", document, ("gadget", json.dumps(params))))
             elif kind == "claim":
-                name = rng.choice(CLAIMS)
-                document = {"family": "linear", "name": name, "params": CLAIM_PARAMS,
+                document = {"family": "linear", "name": self.claim, "params": GADGET_A,
                             "num_samples": CLAIM_SAMPLES}
-                plan.append(_post(due, "/v1/claims", document, ("claim", name)))
+                plan.append(_post(due, "/v1/claims", document, ("claim", self.claim)))
             else:
-                plan.append(Planned(due, "GET", "/health", None, None))
+                plan.append(Planned(due, "GET", f"/{kind}", None, None))
+        plan.sort(key=lambda entry: entry.due_s)
         return plan
-
-
-def pool_size(workload: Workload, rate: float, duration_s: float) -> int:
-    """Distinct instances one chunk can consume, with headroom."""
-    share = workload.mix.get("miss", 0.0) + workload.mix.get("dup", 0.0)
-    return int(rate * duration_s * share * 1.2) + 16
 
 
 def expected_result(check: Any, pool: MaxISPool) -> Any:
@@ -254,6 +215,6 @@ def expected_result(check: Any, pool: MaxISPool) -> Any:
         kwargs = dict(json.loads(detail), construction="linear", k=None)
     else:
         kind = "linear_claim"
-        kwargs = dict(CLAIM_PARAMS, k=None, name=detail, num_samples=CLAIM_SAMPLES)
+        kwargs = dict(GADGET_A, k=None, name=detail, num_samples=CLAIM_SAMPLES)
     value = execute_unit(kind, kwargs)
     return json.loads(get_codec(JOB_SPECS[kind].codec).encode(value))
