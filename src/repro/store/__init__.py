@@ -24,8 +24,9 @@ does) or wrap a region in :func:`using_store`.  Producers reach it via
         theorem1_reports(max_t=5)   # cold: computes + stores
         theorem1_reports(max_t=5)   # warm: every unit is a cache hit
 
-Lookups surface as ``cache.hit``/``cache.miss``/``cache.bytes_written``
-counters and the ``cache.lookup`` timer in :mod:`repro.obs`.
+Lookups surface as ``cache.hit``/``cache.miss``/``cache.corrupt``/
+``cache.bytes_written`` counters and the ``cache.lookup`` timer in
+:mod:`repro.obs`.
 """
 
 from __future__ import annotations

@@ -58,25 +58,26 @@ def canonical_graph_dict(graph: Any) -> Dict[str, Any]:
     """A graph as sorted ``nodes``/``edges`` lists over encoded node ids.
 
     Insertion-order free: the same graph built in any order (or decoded
-    from a cached payload) canonicalizes identically.
+    from a cached payload) canonicalizes identically.  Each node is
+    encoded once and ranked by its ``json.dumps(sort_keys=True)`` text,
+    computed once; edges are oriented and sorted by their endpoints'
+    ranks.
     """
     from ..graphs.serialize import encode_node
 
-    def sort_key(encoded: Any) -> str:
-        return json.dumps(encoded, sort_keys=True)
-
-    nodes = sorted(
-        ([encode_node(node), graph.weight(node)] for node in graph.nodes()),
-        key=lambda entry: sort_key(entry[0]),
+    encoded = {node: encode_node(node) for node in graph.nodes()}
+    order = sorted(
+        graph.nodes(), key=lambda node: json.dumps(encoded[node], sort_keys=True)
     )
-    edges = []
-    for u, v in graph.edges():
-        left, right = encode_node(u), encode_node(v)
-        if sort_key(left) > sort_key(right):
-            left, right = right, left
-        edges.append([left, right])
-    edges.sort(key=lambda pair: (sort_key(pair[0]), sort_key(pair[1])))
-    return {"nodes": nodes, "edges": edges}
+    rank = {node: index for index, node in enumerate(order)}
+    edges = sorted(
+        (rank[u], rank[v]) if rank[u] < rank[v] else (rank[v], rank[u])
+        for u, v in graph.edges()
+    )
+    return {
+        "nodes": [[encoded[node], graph.weight(node)] for node in order],
+        "edges": [[encoded[order[a]], encoded[order[b]]] for a, b in edges],
+    }
 
 
 def derive_key(kind: str, params: Any, fingerprint: str) -> str:

@@ -6,8 +6,10 @@ counters, the ``cache.bytes_written`` counter, and the ``cache.lookup``
 timer in :mod:`repro.obs` — all of which flow through recorder
 snapshot/merge, so ``--profile`` totals stay worker-count-invariant.
 
-A failed decode (corrupt payload, codec mismatch from an older schema)
-counts as a miss: the caller recomputes and overwrites the entry.
+A payload the codecs cannot decode (truncated or garbled bytes, a
+wrong shape, a codec this build does not know) counts as a miss and on
+the ``cache.corrupt`` counter: the caller recomputes and overwrites the
+entry.  Any other error from a codec is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -70,7 +72,9 @@ class ResultStore:
         codec_name, data = entry
         try:
             value = get_codec(codec_name).decode(data)
-        except Exception:
+        except (ValueError, KeyError, TypeError):
+            # ValueError covers JSON and UTF-8 decode errors.
+            _obs.incr("cache.corrupt")
             _obs.incr("cache.miss")
             return MISS
         _obs.incr("cache.hit")

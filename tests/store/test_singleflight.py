@@ -1,6 +1,7 @@
 """Single-flight: concurrent callers of one key share one computation."""
 
 import threading
+import time
 
 import pytest
 
@@ -147,6 +148,14 @@ class TestStoreSingleFlight:
             for t in threads:
                 t.start()
             assert gate.started.wait(timeout=10)
+            # Release only once every follower is parked on the leader;
+            # a follower that arrives after the leader finishes is a hit.
+            deadline = time.monotonic() + 10
+            while (
+                recorder.counters.get("cache.coalesced", 0) < 7
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.001)
             gate.release.set()
             for t in threads:
                 t.join(timeout=10)

@@ -75,6 +75,121 @@ class TestResultStore:
         assert nbytes == len(b'"payload"')
 
 
+def _triangle():
+    from repro.graphs import WeightedGraph
+
+    graph = WeightedGraph()
+    for node, weight in (("a", 1), (("b", 0), 2), (3, 1.5)):
+        graph.add_node(node, weight=weight)
+    graph.add_edge("a", ("b", 0))
+    graph.add_edge(("b", 0), 3)
+    return graph
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _garble(path):
+    path.write_bytes(b"\xff\xfe\x00garbled")
+
+
+def _wrong_shape_list(path):
+    path.write_bytes(b"[]")
+
+
+def _wrong_shape_dict(path):
+    path.write_bytes(b"{}")
+
+
+class _ExplodingCodec:
+    name = "exploding"
+
+    def decode(self, data):
+        raise RuntimeError("codec bug")
+
+
+class TestCorruptDiskPayloads:
+    """A damaged disk entry costs a recompute, never a wrong value."""
+
+    CASES = [
+        ("json", {"answer": [1, 2.5, "x"]}),
+        ("graph", _triangle()),
+        ("node_list", ["a", 3, ("b", 0)]),
+    ]
+
+    def _cold_then_damaged(self, tmp_path, codec, value, damage):
+        backend = DiskBackend(tmp_path)
+        result_store = ResultStore(backend)
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return value
+
+        def lookup():
+            return result_store.get_or_compute(
+                "test.fault", {"codec": codec}, MODULES, codec, compute
+            )
+
+        lookup()
+        key = result_store.key_for("test.fault", {"codec": codec}, MODULES)
+        damage(backend._payload_path(key))
+        with obs.recording() as recorder:
+            recovered = lookup()
+            again = lookup()
+        return calls, recovered, again, recorder.counters
+
+    @pytest.mark.parametrize("codec,value", CASES)
+    @pytest.mark.parametrize(
+        "damage", [_truncate, _garble], ids=["truncated", "garbled"]
+    )
+    def test_undecodable_payload_is_recomputed(self, tmp_path, codec, value, damage):
+        calls, recovered, again, counters = self._cold_then_damaged(
+            tmp_path, codec, value, damage
+        )
+        assert len(calls) == 2
+        assert recovered == again == value
+        assert counters["cache.corrupt"] == 1
+        assert counters["cache.miss"] == 1
+        assert counters["cache.hit"] == 1
+
+    @pytest.mark.parametrize(
+        "damage", [_wrong_shape_list, _wrong_shape_dict], ids=["list", "dict"]
+    )
+    def test_wrongly_shaped_graph_is_recomputed(self, tmp_path, damage):
+        value = _triangle()
+        calls, recovered, again, counters = self._cold_then_damaged(
+            tmp_path, "graph", value, damage
+        )
+        assert len(calls) == 2
+        assert recovered == again == value
+        assert counters["cache.corrupt"] == 1
+
+    @pytest.mark.parametrize("codec,value", CASES)
+    def test_payload_deleted_behind_the_index_is_recomputed(
+        self, tmp_path, codec, value
+    ):
+        calls, recovered, again, counters = self._cold_then_damaged(
+            tmp_path, codec, value, lambda path: path.unlink()
+        )
+        assert len(calls) == 2
+        assert recovered == again == value
+        assert counters["cache.miss"] == 1
+        assert "cache.corrupt" not in counters
+
+    def test_codec_bugs_propagate(self, tmp_path, monkeypatch):
+        from repro.store import codecs
+
+        monkeypatch.setitem(codecs.CODECS, "exploding", _ExplodingCodec())
+        backend = DiskBackend(tmp_path)
+        result_store = ResultStore(backend)
+        key = result_store.key_for("test.bug", {}, MODULES)
+        backend.put(key, "exploding", b"[]", kind="test.bug")
+        with pytest.raises(RuntimeError, match="codec bug"):
+            result_store.get(key)
+
+
 class TestConfigure:
     def test_off_by_default(self):
         assert get_store() is None
