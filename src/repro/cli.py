@@ -352,7 +352,12 @@ def _live(args: argparse.Namespace) -> Iterator[Optional[object]]:
         server = None
         try:
             if metrics_port is not None:
-                server = obs.MetricsServer(port=metrics_port, monitor=monitor)
+                from .serve.http import BackgroundServer, suite_handler
+
+                server = BackgroundServer(
+                    suite_handler(obs.MetricsSuite(monitor=monitor)),
+                    port=metrics_port,
+                ).start()
                 print(f"[live metrics: {server.url}]", file=sys.stderr, flush=True)
             with obs.using_monitor(monitor):
                 yield monitor

@@ -62,7 +62,6 @@ from .export import (
 )
 from .flame import flamegraph_svg, folded_from_spans, parse_folded
 from .httpexp import (
-    MetricsServer,
     MetricsSuite,
     render_prometheus,
     sanitize_metric_name,
@@ -185,7 +184,6 @@ __all__ = [
     "JsonlSink",
     "LIVE_SCHEMA_VERSION",
     "LiveMonitor",
-    "MetricsServer",
     "MetricsSuite",
     "NULL_SPAN",
     "Recorder",

@@ -1,9 +1,9 @@
 """The HTTP exporter: a scrapeable ``/metrics`` + ``/progress`` plane.
 
-A stdlib-only background HTTP server (``--metrics-port``) that renders
-the process-wide recorder and the active :class:`~repro.obs.live.
-LiveMonitor` on demand — the seed of the ``repro serve`` service the
-roadmap names.  Three endpoints:
+:class:`MetricsSuite` renders the process-wide recorder and the active
+:class:`~repro.obs.live.LiveMonitor` on demand as three endpoints,
+hosted by ``repro.serve``'s HTTP layer (``--metrics-port`` and
+``repro serve`` alike):
 
 ``/metrics``
     Prometheus text exposition (format version 0.0.4) rendered from
@@ -35,9 +35,7 @@ from __future__ import annotations
 import json
 import math
 import re
-import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 
 #: Keyed-counter series cap per metric: the per-edge traffic matrix
@@ -155,11 +153,10 @@ class MetricsSuite:
     """The metrics plane as a transport-agnostic route table.
 
     Renders ``/metrics``, ``/progress``, and ``/health`` bodies from
-    the recorder/monitor state without owning a socket, so any HTTP
-    front-end can mount it: :class:`MetricsServer` wraps it in a
-    ThreadingHTTPServer for standalone sweeps, and ``repro serve``
-    mounts the *same* suite inside its asyncio event loop — one
-    ``/metrics`` per process, never a second server.
+    the recorder/monitor state without owning a socket.  One HTTP
+    front-end hosts it: ``--metrics-port`` serves it alone through
+    :func:`repro.serve.http.suite_handler`, and ``repro serve`` mounts
+    the *same* suite beside its routes — one ``/metrics`` per process.
     """
 
     PATHS = ["/metrics", "/progress", "/health"]
@@ -252,113 +249,3 @@ class MetricsSuite:
             )
             return 200, "application/json", body
         return None
-
-
-class _MetricsHandler(BaseHTTPRequestHandler):
-    """Routes the suite's endpoints; everything else is a 404."""
-
-    server_version = "repro-metrics/1"
-
-    def _respond(self, status: int, content_type: str, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        suite: MetricsSuite = self.server.suite  # type: ignore[attr-defined]
-        try:
-            resolved = suite.handle(self.path)
-            if resolved is None:
-                self._respond(
-                    404,
-                    "application/json",
-                    json.dumps(
-                        {"error": "unknown path", "paths": suite.PATHS}
-                    ).encode("utf-8"),
-                )
-            else:
-                self._respond(*resolved)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # scraper went away mid-response
-
-    def log_message(self, format: str, *args: Any) -> None:
-        """Silence per-request logging; scrapes must not pollute output."""
-
-
-class MetricsServer:
-    """A background ``/metrics`` + ``/progress`` + ``/health`` server.
-
-    Binds immediately (``port=0`` picks an ephemeral port, exposed as
-    ``self.port``) and serves on a daemon thread until :meth:`close`.
-    The recorder/monitor are read per scrape, so starting the server
-    before the sweep begins is cheap and race-free.  All rendering
-    lives in the wrapped :class:`MetricsSuite`; this class only adds
-    the socket.
-    """
-
-    PATHS = MetricsSuite.PATHS
-
-    def __init__(
-        self,
-        port: int = 0,
-        host: str = "127.0.0.1",
-        recorder: Optional[Any] = None,
-        monitor: Optional[Any] = None,
-        suite: Optional[MetricsSuite] = None,
-    ) -> None:
-        if suite is None:
-            suite = MetricsSuite(recorder=recorder, monitor=monitor)
-        self.suite = suite
-        self._httpd = ThreadingHTTPServer((host, port), _MetricsHandler)
-        self._httpd.daemon_threads = True
-        self._httpd.suite = suite  # type: ignore[attr-defined]
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-metrics-server",
-            daemon=True,
-        )
-        self._thread.start()
-
-    @property
-    def recorder(self) -> Optional[Any]:
-        return self.suite.recorder
-
-    @property
-    def monitor(self) -> Optional[Any]:
-        return self.suite.monitor
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self._httpd.server_address[:2]
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    @property
-    def uptime_s(self) -> float:
-        return self.suite.uptime_s
-
-    def progress_document(self) -> Dict[str, Any]:
-        """The ``/progress`` JSON body (monitor snapshot + stalls)."""
-        return self.suite.progress_document()
-
-    def close(self) -> None:
-        """Stop serving and release the socket."""
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        self._thread.join(timeout=2.0)
-
-    def __enter__(self) -> "MetricsServer":
-        return self
-
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> bool:
-        self.close()
-        return False

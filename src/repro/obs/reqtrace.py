@@ -42,7 +42,7 @@ Three cooperating pieces:
 The ambient context travels by :mod:`contextvars`: the serve dispatcher
 captures :func:`contextvars.copy_context` at submission and runs the
 work inside it, so :func:`current_trace` works on the dispatcher thread
-and in the store's single-flight tier without any parameter threading.
+without any parameter threading.
 
 Nothing here imports the rest of :mod:`repro` — like the recorder, this
 module sits below every other layer.
@@ -472,8 +472,7 @@ def using_trace(trace: Optional[RequestTrace]) -> Iterator[Optional[RequestTrace
     The binding rides :mod:`contextvars`, so it follows the request
     through ``await`` points and — because the dispatcher runs each
     submission inside :func:`contextvars.copy_context` captured at
-    submit time — onto the dispatcher thread and into the store's
-    single-flight tier.
+    submit time — onto the dispatcher thread.
     """
     token = _CURRENT.set(trace)
     try:

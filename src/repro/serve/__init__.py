@@ -50,6 +50,7 @@ from .http import (
     json_response,
     run,
     start_server,
+    suite_handler,
 )
 
 __all__ = [
@@ -74,4 +75,5 @@ __all__ = [
     "parse_slo_spec",
     "run",
     "start_server",
+    "suite_handler",
 ]

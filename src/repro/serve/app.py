@@ -87,7 +87,7 @@ def _require_json_object(request: Request) -> Dict[str, Any]:
         raise BadRequest("request body must be a JSON object")
     try:
         document = json.loads(request.body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
         raise BadRequest("request body is not valid JSON", reason=str(error))
     if not isinstance(document, dict):
         raise BadRequest(
@@ -205,7 +205,6 @@ class Application:
         traces: Optional[TraceBuffer] = None,
         slo: Optional[SLORegistry] = None,
         access_log: Optional[AccessLog] = None,
-        trim_recorder_spans: bool = True,
     ) -> None:
         self.dispatcher = dispatcher if dispatcher is not None else Dispatcher()
         self.suite = suite if suite is not None else MetricsSuite()
@@ -217,14 +216,12 @@ class Application:
         self.suite.add_metrics_source(self.slo.prometheus_lines)
         #: Optional structured JSONL access log (one line per request).
         self.access_log = access_log
-        #: Drop recorder spans captured per-request after grafting them
-        #: into the trace — without this, a long-running service grows
-        #: the process recorder's span list without bound.
-        self.trim_recorder_spans = trim_recorder_spans
-        #: Loop-confined coalescing map: request key -> in-flight future.
-        self._inflight: Dict[str, "asyncio.Future[Any]"] = {}
-        #: Leader trace identity per in-flight key, for follower links.
-        self._inflight_traces: Dict[str, Tuple[str, str]] = {}
+        #: Loop-confined coalescing map: request key -> (in-flight
+        #: future, leader trace id, leader root span id); the ids are
+        #: ``None`` when the leader ran untraced.
+        self._inflight: Dict[
+            str, Tuple["asyncio.Future[Any]", Optional[str], Optional[str]]
+        ] = {}
         #: The job table for async sweeps, insertion-ordered.
         self._jobs: Dict[str, Dict[str, Any]] = {}
         #: In-flight sweep coalescing: sweep key -> job id.
@@ -301,9 +298,8 @@ class Application:
         phases, the solver itself — and grafts them under the execute
         span, so ``GET /v1/traces/<id>`` shows where the solve's time
         went, not just that it happened.  The captured spans are then
-        trimmed from the recorder (when ``trim_recorder_spans``) so a
-        long-running service's span list stays bounded; aggregate
-        counters/histograms are untouched.
+        trimmed from the recorder so a long-running service's span list
+        stays bounded; aggregate counters/histograms are untouched.
         """
         from ..parallel.jobs import execute_unit
 
@@ -332,8 +328,7 @@ class Application:
             if grafted:
                 execute_span.set(recorder_spans=grafted)
             if (
-                self.trim_recorder_spans
-                and len(_obs.spans) > base
+                len(_obs.spans) > base
                 and _obs.spans[base].name == wrapper_name
                 and not _obs._stack
             ):
@@ -343,7 +338,7 @@ class Application:
     async def _coalesced_compute(
         self, kind: str, kwargs: Dict[str, Any]
     ) -> Tuple[Any, str, str]:
-        """Run one unit with single-flight semantics on the event loop.
+        """Run one unit, coalescing identical in-flight requests.
 
         Returns ``(value, key, disposition)``.  The leader dispatches;
         followers await the leader's future and never touch the queue,
@@ -354,24 +349,23 @@ class Application:
         existing = self._inflight.get(key)
         if existing is not None:
             _obs.incr("serve.coalesced")
+            future, leader_trace_id, leader_span_id = existing
             if trace is not None:
-                leader = self._inflight_traces.get(key)
                 with trace.span("serve.coalesced_wait", key=key) as span:
-                    if leader is not None:
-                        leader_trace_id, leader_span_id = leader
+                    if leader_trace_id is not None:
                         trace.link(
                             leader_trace_id, leader_span_id, "coalesced_with"
                         )
                         span.set(leader_trace_id=leader_trace_id)
-                    value, _ = await asyncio.shield(existing)
+                    value, _ = await asyncio.shield(future)
             else:
-                value, _ = await asyncio.shield(existing)
+                value, _ = await asyncio.shield(future)
             return value, key, "coalesced"
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future[Any]" = loop.create_future()
-        self._inflight[key] = future
-        if trace is not None:
-            self._inflight_traces[key] = (trace.trace_id, trace.root_span_id)
+        future = asyncio.get_running_loop().create_future()
+        if trace is None:
+            self._inflight[key] = (future, None, None)
+        else:
+            self._inflight[key] = (future, trace.trace_id, trace.root_span_id)
         try:
             pending = self.dispatcher.submit(
                 lambda: self._compute_sync(kind, kwargs, key)
@@ -393,7 +387,6 @@ class Application:
             return value, key, disposition
         finally:
             self._inflight.pop(key, None)
-            self._inflight_traces.pop(key, None)
 
     # ------------------------------------------------------------------
     # Routes

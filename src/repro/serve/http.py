@@ -125,7 +125,10 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
         raise ProtocolError(505, f"unsupported protocol version {version}")
     headers: Dict[str, str] = {}
     while True:
-        header_line = await reader.readline()
+        try:
+            header_line = await reader.readline()
+        except ValueError:
+            raise ProtocolError(400, "header line too long") from None
         if header_line in (b"\r\n", b"\n", b""):
             break
         if len(headers) >= MAX_HEADER_COUNT:
@@ -176,6 +179,31 @@ async def write_response(
 
 #: The application contract: an async request -> response callable.
 Handler = Callable[[Request], Awaitable[Response]]
+
+
+def suite_handler(suite: Any) -> Handler:
+    """Serve a :class:`~repro.obs.httpexp.MetricsSuite`'s GET routes.
+
+    The ``--metrics-port`` host: any other path is a 404 listing the
+    suite's paths, any other method a 405.
+    """
+
+    async def handle(request: Request) -> Response:
+        if request.method != "GET":
+            return json_response(
+                405,
+                {"error": f"method not allowed on {request.path}",
+                 "allowed": ["GET"]},
+                headers={"Allow": "GET"},
+            )
+        resolved = suite.handle(request.path)
+        if resolved is None:
+            return json_response(
+                404, {"error": "unknown path", "paths": suite.PATHS}
+            )
+        return Response(*resolved)
+
+    return handle
 
 
 async def serve_connection(

@@ -63,7 +63,6 @@ from .specs import (
     MAXIS_MODULES,
     SWEEP_MODULES,
 )
-from .singleflight import SingleFlight
 from .store import MISS, ResultStore
 
 #: The process-global store; ``None`` means caching is off (default).
@@ -157,7 +156,6 @@ __all__ = [
     "MemoryBackend",
     "ResultStore",
     "STORE_SCHEMA_VERSION",
-    "SingleFlight",
     "SWEEP_MODULES",
     "canonical_graph_dict",
     "clear_fingerprint_cache",

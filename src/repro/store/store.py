@@ -14,13 +14,12 @@ entry.  Any other error from a codec is a bug and propagates.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable
 
 from .. import obs
 from .codecs import get_codec
 from .fingerprint import combined_fingerprint
 from .keys import derive_key
-from .singleflight import SingleFlight
 
 _obs = obs.get_recorder()
 
@@ -28,30 +27,12 @@ _obs = obs.get_recorder()
 #: stays a cacheable value.
 MISS = object()
 
-#: Default-argument sentinel: distinguishes "build a fresh SingleFlight"
-#: (the default) from an explicit ``single_flight=None`` opt-out.
-_DEFAULT_SINGLE_FLIGHT = object()
-
 
 class ResultStore:
-    """Content-addressed lookups over one backend.
+    """Content-addressed lookups over one backend."""
 
-    Pass ``single_flight`` (or leave the default, which builds one) to
-    make :meth:`get_or_compute` stampede-proof: concurrent callers of
-    one key share a single computation instead of racing to recompute
-    the same entry.  Pass ``single_flight=None`` explicitly to opt out
-    and get the plain lookup-else-compute behavior.
-    """
-
-    def __init__(
-        self,
-        backend: Any,
-        single_flight: Optional[SingleFlight] = _DEFAULT_SINGLE_FLIGHT,
-    ) -> None:
+    def __init__(self, backend: Any) -> None:
         self.backend = backend
-        if single_flight is _DEFAULT_SINGLE_FLIGHT:
-            single_flight = SingleFlight()
-        self.single_flight = single_flight
 
     @property
     def name(self) -> str:
@@ -97,23 +78,14 @@ class ResultStore:
     ) -> Any:
         """One-shot memoization: lookup, else compute and store.
 
-        With single-flight enabled (the default), concurrent callers of
-        the same key coalesce onto one lookup-compute-store pass:
-        followers block until the leader finishes and receive its value
-        without ever touching the backend, so a stampede of N identical
-        calls costs exactly one ``cache.miss`` and one computation.
+        Concurrent callers of one key may each compute it; their puts
+        write identical bytes to the same content address.  ``repro
+        serve`` coalesces duplicate requests on its event loop instead.
         """
         key = self.key_for(kind, params, modules)
-
-        def supply() -> Any:
-            value = self.get(key)
-            if value is not MISS:
-                return value
-            value = compute()
-            self.put(key, kind, codec_name, value)
+        value = self.get(key)
+        if value is not MISS:
             return value
-
-        if self.single_flight is None:
-            return supply()
-        value, _led = self.single_flight.do(key, supply)
+        value = compute()
+        self.put(key, kind, codec_name, value)
         return value

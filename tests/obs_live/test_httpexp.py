@@ -1,4 +1,4 @@
-"""Tests for the Prometheus renderer and the background HTTP exporter."""
+"""Tests for the Prometheus renderer and the ``--metrics-port`` host."""
 
 import json
 import urllib.error
@@ -7,12 +7,13 @@ import urllib.request
 import pytest
 
 from repro.obs.httpexp import (
-    MetricsServer,
+    MetricsSuite,
     render_prometheus,
     sanitize_metric_name,
 )
 from repro.obs.live import LiveMonitor
 from repro.obs.recorder import Recorder
+from repro.serve.http import BackgroundServer, suite_handler
 
 
 def fresh_recorder():
@@ -168,6 +169,12 @@ def fetch(url):
         return response.status, response.headers, response.read().decode("utf-8")
 
 
+def metrics_host(recorder, monitor=None):
+    """A suite hosted the way ``--metrics-port`` hosts it."""
+    suite = MetricsSuite(recorder=recorder, monitor=monitor)
+    return BackgroundServer(suite_handler(suite)).start()
+
+
 class TestMetricsServer:
     @pytest.fixture()
     def server(self):
@@ -175,7 +182,7 @@ class TestMetricsServer:
         recorder.incr("congest.messages", 3)
         monitor = LiveMonitor(command="serve-test")
         monitor.sweep_started(2)
-        server = MetricsServer(port=0, recorder=recorder, monitor=monitor)
+        server = metrics_host(recorder, monitor)
         yield server
         server.close()
         monitor.close()
@@ -215,8 +222,26 @@ class TestMetricsServer:
             fetch(f"{server.url}/nope")
         assert excinfo.value.code == 404
 
+    def test_unknown_path_lists_the_suite_paths(self, server):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            fetch(f"{server.url}/nope")
+        assert excinfo.value.headers["Content-Type"] == "application/json"
+        assert json.loads(excinfo.value.read()) == {
+            "error": "unknown path",
+            "paths": ["/metrics", "/progress", "/health"],
+        }
+
+    def test_post_is_405_with_allow_get(self, server):
+        request = urllib.request.Request(
+            f"{server.url}/metrics", data=b"{}", method="POST"
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=5)
+        assert excinfo.value.code == 405
+        assert excinfo.value.headers["Allow"] == "GET"
+
     def test_progress_inactive_without_monitor(self):
-        server = MetricsServer(port=0, recorder=fresh_recorder(), monitor=None)
+        server = metrics_host(fresh_recorder(), monitor=None)
         try:
             _, _, body = fetch(f"{server.url}/progress")
             assert json.loads(body) == {
@@ -227,7 +252,7 @@ class TestMetricsServer:
             server.close()
 
     def test_close_releases_port(self):
-        server = MetricsServer(port=0, recorder=fresh_recorder())
+        server = metrics_host(fresh_recorder())
         url = server.url
         server.close()
         with pytest.raises((urllib.error.URLError, ConnectionError, OSError)):

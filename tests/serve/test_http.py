@@ -74,6 +74,29 @@ class TestParsing:
         assert b"501" in head.splitlines()[0]
         assert "chunked" in json.loads(body)["error"]
 
+    def test_oversized_request_line_is_400(self, served):
+        response = raw_exchange(
+            served, b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n"
+        )
+        head, body = body_of(response)
+        assert b"400" in head.splitlines()[0]
+        assert json.loads(body) == {"error": "request line too long"}
+
+    def test_oversized_header_line_is_400(self, served):
+        # A header line past the stream's 64 KiB line limit used to let
+        # ValueError escape the parser: no response, a dropped socket.
+        response = raw_exchange(
+            served, b"GET /health HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n"
+        )
+        head, body = body_of(response)
+        assert b"400" in head.splitlines()[0]
+        assert json.loads(body) == {"error": "header line too long"}
+
+    def test_deeply_nested_json_body_is_400(self, served):
+        status, document, _ = served.post("/v1/maxis", None, raw=b"[" * 200_000)
+        assert status == 400
+        assert document["error"] == "request body is not valid JSON"
+
     def test_truncated_body_is_400(self, served):
         response = raw_exchange(
             served,

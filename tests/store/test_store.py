@@ -26,14 +26,34 @@ class TestResultStore:
             calls.append(1)
             return {"answer": 42}
 
-        first = result_store.get_or_compute(
-            "test.kind", {"x": 1}, MODULES, "json", compute
-        )
-        second = result_store.get_or_compute(
-            "test.kind", {"x": 1}, MODULES, "json", compute
-        )
-        assert first == second == {"answer": 42}
+        with obs.recording() as recorder:
+            first, second, third = [
+                result_store.get_or_compute(
+                    "test.kind", {"x": 1}, MODULES, "json", compute
+                )
+                for _ in range(3)
+            ]
+        assert first == second == third == {"answer": 42}
         assert len(calls) == 1
+        assert recorder.counters["cache.miss"] == 1
+        assert recorder.counters["cache.hit"] == 2
+
+    def test_failing_compute_propagates_and_is_retried(self):
+        backend = MemoryBackend()
+        result_store = ResultStore(backend)
+
+        def fail():
+            raise RuntimeError("compute failed")
+
+        with pytest.raises(RuntimeError, match="compute failed"):
+            result_store.get_or_compute("test.fail", {}, MODULES, "json", fail)
+        key = result_store.key_for("test.fail", {}, MODULES)
+        assert backend.get(key) is None
+        value = result_store.get_or_compute(
+            "test.fail", {}, MODULES, "json", lambda: "recovered"
+        )
+        assert value == "recovered"
+        assert result_store.get(key) == "recovered"
 
     def test_none_is_a_cacheable_value(self):
         result_store = ResultStore(MemoryBackend())
