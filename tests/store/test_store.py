@@ -38,6 +38,23 @@ class TestResultStore:
         assert recorder.counters["cache.miss"] == 1
         assert recorder.counters["cache.hit"] == 2
 
+    def test_sequential_calls_hit_the_cache(self):
+        result_store = ResultStore(MemoryBackend(1 << 20))
+        calls = []
+        with obs.recording() as recorder:
+            for _ in range(3):
+                value = result_store.get_or_compute(
+                    "seq",
+                    {"x": 4},
+                    MODULES,
+                    "json",
+                    lambda: calls.append(1) or {"v": 5},
+                )
+                assert value == {"v": 5}
+            assert len(calls) == 1
+            assert recorder.counters["cache.miss"] == 1
+            assert recorder.counters["cache.hit"] == 2
+
     def test_failing_compute_propagates_and_is_retried(self):
         backend = MemoryBackend()
         result_store = ResultStore(backend)
