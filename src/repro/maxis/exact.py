@@ -33,10 +33,14 @@ _obs = get_recorder()
 
 #: A search node rebuilds the clique cover once its candidate set has
 #: shrunk below this fraction of the size at the last build.  1.0 would
-#: rebuild at every node (tight bounds, high constant cost), 0.0 would
-#: keep the root cover forever (cheap, but stale bounds blow up the tree
-#: on larger gadgets); 0.5 measured best across the bench instances.
-_COVER_REBUILD_RATIO = 0.5
+#: rebuild at every node (tight bounds, one extraction per node), 0.0
+#: would keep the root cover forever (cheap, but stale bounds blow up
+#: the tree on larger gadgets).  Measured on the instances the sweeps
+#: solve (the 240 searches of ten seeded ``full_grid`` sweeps, Theorem 1
+#: t<=5 and every Theorem 2 point): 0.5 expands 88,171 nodes, 0.8
+#: expands 34,340 in about a quarter of the time, and 0.75-0.9 are
+#: within noise of each other.  See docs/SOLVER.md for the table.
+_COVER_REBUILD_RATIO = 0.8
 
 
 class BranchAndBoundStats:
@@ -172,6 +176,37 @@ def _record_solve(stats: BranchAndBoundStats) -> None:
         _obs.incr("maxis.exact.bound_prunes", stats.bound_prunes)
 
 
+def _clique_cover(
+    candidates: int, weights: List[float], masks: List[int]
+) -> Tuple[List[int], float]:
+    """Greedy weighted clique cover of ``candidates``, and its bound.
+
+    Each clique is seeded at the lowest remaining candidate and grown by
+    the lowest remaining candidate adjacent to every member so far, so
+    the cost is one big-int AND per member.  Under the non-increasing
+    weight order the seed is the clique's heaviest member, and the bound
+    is the sum of the seeds' weights.  The cliques come out in seed
+    order and equal those of a first-fit pass that offers each candidate,
+    lowest first, to the first open clique it is adjacent to throughout
+    (``tests/maxis/test_clique_cover.py`` checks this against that pass).
+    """
+    cliques: List[int] = []
+    bound = 0.0
+    remaining = candidates
+    while remaining:
+        clique = remaining & -remaining
+        first = clique.bit_length() - 1
+        pool = remaining & masks[first]
+        while pool:
+            low = pool & -pool
+            clique |= low
+            pool &= masks[low.bit_length() - 1]
+        remaining &= ~clique
+        cliques.append(clique)
+        bound += weights[first]
+    return cliques, bound
+
+
 def _solve_ordered_masks(
     weights: List[float],
     masks: List[int],
@@ -179,12 +214,12 @@ def _solve_ordered_masks(
 ) -> Tuple[float, int]:
     """Branch and bound over a *pre-ordered* index form.
 
-    Precondition: ``weights`` is non-increasing.  The greedy clique
-    cover visits candidates lowest-index-first, so each clique's first
-    member is its heaviest and the cover bound is a first-member weight
-    sum; when the cover is reused to bound a *subset* of the set it was
-    built for, ``(clique & subset) & -(clique & subset)`` picks the
-    heaviest surviving member.  That reuse is the core of the cost
+    Precondition: ``weights`` is non-increasing.  :func:`_clique_cover`
+    seeds each clique at its lowest-index candidate, so each clique's
+    first member is its heaviest and the cover bound is a first-member
+    weight sum; when the cover is reused to bound a *subset* of the set
+    it was built for, ``(clique & subset) & -(clique & subset)`` picks
+    the heaviest surviving member.  That reuse is the core of the cost
     model: a cover is built at the root and *inherited* down the tree,
     rebuilt at a node only once the candidate set has shrunk below
     ``_COVER_REBUILD_RATIO`` of its size at the previous build.  Fresh
@@ -217,23 +252,7 @@ def _solve_ordered_masks(
         nonlocal best_weight, best_set, nodes_expanded, bound_prunes
         nodes_expanded += 1
         if candidates.bit_count() <= built_at:
-            # Rebuild: greedy weighted clique cover of the candidate set.
-            cliques = []
-            bound = 0.0
-            remaining = candidates
-            clique_append = cliques.append
-            while remaining:
-                low = remaining & -remaining
-                remaining ^= low
-                adjacency = masks[low.bit_length() - 1]
-                for idx in range(len(cliques)):
-                    if cliques[idx] & ~adjacency:
-                        continue  # not adjacent to the whole clique
-                    cliques[idx] |= low
-                    break
-                else:
-                    clique_append(low)
-                    bound += weights[low.bit_length() - 1]
+            cliques, bound = _clique_cover(candidates, weights, masks)
             if current_weight + bound <= best_weight:
                 bound_prunes += 1
                 return

@@ -32,6 +32,11 @@ MAX_REQUEST_LINE_BYTES = 8192
 MAX_HEADER_COUNT = 100
 MAX_BODY_BYTES = 8 << 20  # gadget graphs serialize small; 8 MiB is generous
 
+#: Caps on the input read and discarded after a parse error, before the
+#: close (see :func:`_linger`).
+LINGER_MAX_BYTES = 1 << 20
+LINGER_SECONDS = 2.0
+
 
 class Request:
     """One parsed HTTP request.
@@ -217,13 +222,15 @@ async def serve_connection(
             try:
                 request = await read_request(reader)
             except ProtocolError as error:
-                await write_response(
-                    writer,
-                    json_response(
-                        error.status, {"error": error.message}
-                    ),
-                    close=True,
-                )
+                with contextlib.suppress(ConnectionError):
+                    await write_response(
+                        writer,
+                        json_response(
+                            error.status, {"error": error.message}
+                        ),
+                        close=True,
+                    )
+                    await _linger(reader, writer)
                 return
             except (ConnectionResetError, asyncio.IncompleteReadError):
                 return
@@ -246,6 +253,31 @@ async def serve_connection(
         with contextlib.suppress(Exception, asyncio.CancelledError):
             writer.close()
             await writer.wait_closed()
+
+
+async def _linger(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+    """Half-close, then discard input until EOF or a cap, before the close.
+
+    A parse error leaves the client mid-request, possibly still sending.
+    Closing a socket with unread input makes the kernel answer with a
+    reset, which can destroy the error response before the client reads
+    it.  Sending FIN first and draining what is still in flight lets the
+    response arrive; the byte and time caps bound what a client that
+    never stops can cost.
+    """
+    if writer.can_write_eof():
+        writer.write_eof()
+
+    async def drain() -> None:
+        drained = 0
+        while drained < LINGER_MAX_BYTES:
+            chunk = await reader.read(65536)
+            if not chunk:
+                return
+            drained += len(chunk)
+
+    with contextlib.suppress(asyncio.TimeoutError):
+        await asyncio.wait_for(drain(), LINGER_SECONDS)
 
 
 class ReproServer:

@@ -7,6 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.commcc import pairwise_disjoint_inputs, uniquely_intersecting_inputs
+from repro.gadgets import (
+    GadgetParameters,
+    LinearMaxISFamily,
+    QuadraticMaxISFamily,
+    smallest_meaningful_linear_parameters,
+)
 from repro.graphs import WeightedGraph, clique, random_graph
 from repro.maxis import (
     BranchAndBoundStats,
@@ -147,6 +154,70 @@ class TestAgainstBruteForce:
             nx.complement(nx_graph), weight=None
         )
         assert ours == their_weight == len(their_clique)
+
+
+def _networkx_max_weight_is(graph):
+    """Optimum weight via ``nx.max_weight_clique`` on the complement.
+
+    ``nx.complement`` keeps nodes and drops their attributes, so the
+    weights are copied onto the complement before the clique search.
+    """
+    nx_graph = nx.Graph()
+    nx_graph.add_nodes_from(graph.nodes())
+    nx_graph.add_edges_from(graph.edges())
+    complement = nx.complement(nx_graph)
+    for node, weight in graph.weights().items():
+        complement.nodes[node]["weight"] = weight
+    clique_nodes, weight = nx.max_weight_clique(complement, weight="weight")
+    assert weight == sum(graph.weight(node) for node in clique_nodes)
+    return weight
+
+
+def _gadget_instances():
+    """Seed-0 instances of both promise sides at the feasible sweep points."""
+    points = [
+        ("theorem1", smallest_meaningful_linear_parameters(t)) for t in (2, 3, 4)
+    ] + [
+        ("theorem2", GadgetParameters(ell=ell, alpha=1, t=t))
+        for ell, t in ((2, 2), (3, 2), (2, 3))
+    ]
+    sides = [
+        ("intersecting", uniquely_intersecting_inputs),
+        ("disjoint", pairwise_disjoint_inputs),
+    ]
+    for theorem, params in points:
+        for side, sampler in sides:
+            yield pytest.param(
+                theorem,
+                params,
+                sampler,
+                id=f"{theorem}-ell{params.ell}-t{params.t}-{side}",
+            )
+
+
+class TestWeightedNetworkxOracle:
+    """The real Theorem 1 and 2 gadget families against an independent solver."""
+
+    @pytest.mark.parametrize("theorem,params,sampler", list(_gadget_instances()))
+    def test_gadget_instance_matches_networkx(self, theorem, params, sampler):
+        if theorem == "theorem1":
+            family, length = LinearMaxISFamily(params), params.k
+        else:
+            family, length = QuadraticMaxISFamily(params), params.k * params.k
+        graph = family.build(sampler(length, params.t, rng=random.Random(0)))
+        expected = _networkx_max_weight_is(graph)
+        for kernel in (True, False):
+            result = max_weight_independent_set(graph, kernel=kernel)
+            assert result.weight == expected, f"kernel={kernel}"
+            assert graph.is_independent_set(result.nodes)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_weighted_graphs_match_networkx(self, seed):
+        rng = random.Random(seed + 700)
+        graph = random_graph(16, 0.4, rng=rng, weight_range=(1, 9))
+        expected = _networkx_max_weight_is(graph)
+        for kernel in (True, False):
+            assert max_weight_independent_set(graph, kernel=kernel).weight == expected
 
 
 class TestDenseCliqueStructured:

@@ -2,8 +2,9 @@
 
 import json
 import socket
+import time
 
-from repro.serve import MAX_BODY_BYTES
+from repro.serve import MAX_BODY_BYTES, http
 
 
 def raw_exchange(client, payload, recv_bytes=65536):
@@ -91,6 +92,48 @@ class TestParsing:
         head, body = body_of(response)
         assert b"400" in head.splitlines()[0]
         assert json.loads(body) == {"error": "header line too long"}
+
+    def test_error_response_survives_a_client_still_sending(self, served):
+        # The server answers the oversized header line while the client
+        # is still sending.  Closing with that input unread would reset
+        # the connection and could lose the 400; the server half-closes
+        # and drains instead, so every send and the read succeed.
+        with socket.create_connection(
+            ("127.0.0.1", served.server.port), timeout=10
+        ) as s:
+            s.sendall(b"GET /health HTTP/1.1\r\nX-Big: " + b"a" * 70_000)
+            for _ in range(16):
+                time.sleep(0.01)
+                s.sendall(b"a" * 16_384)
+            s.shutdown(socket.SHUT_WR)
+            chunks = []
+            while True:
+                chunk = s.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        head, body = body_of(b"".join(chunks))
+        assert b"400" in head.splitlines()[0]
+        assert json.loads(body) == {"error": "header line too long"}
+
+    def test_lingering_close_is_capped_in_time(self, served, monkeypatch):
+        # A client that never half-closes still gets the close, once the
+        # linger's time cap runs out.
+        monkeypatch.setattr(http, "LINGER_SECONDS", 0.2)
+        with socket.create_connection(
+            ("127.0.0.1", served.server.port), timeout=10
+        ) as s:
+            s.sendall(b"GARBAGE\r\n\r\n")
+            started = time.monotonic()
+            chunks = []
+            while True:
+                chunk = s.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        assert time.monotonic() - started < 5
+        head, body = body_of(b"".join(chunks))
+        assert json.loads(body) == {"error": "malformed request line"}
 
     def test_deeply_nested_json_body_is_400(self, served):
         status, document, _ = served.post("/v1/maxis", None, raw=b"[" * 200_000)

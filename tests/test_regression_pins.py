@@ -10,9 +10,17 @@ import random
 
 import pytest
 
+from repro.commcc import pairwise_disjoint_inputs, uniquely_intersecting_inputs
 from repro.core import LinearLowerBoundExperiment, QuadraticLowerBoundExperiment
 from repro.framework import cut_size
-from repro.gadgets import GadgetParameters, LinearConstruction, QuadraticConstruction
+from repro.gadgets import (
+    GadgetParameters,
+    LinearConstruction,
+    LinearMaxISFamily,
+    QuadraticConstruction,
+    QuadraticMaxISFamily,
+    smallest_meaningful_linear_parameters,
+)
 from repro.graphs import random_graph
 from repro.maxis import BranchAndBoundStats, max_weight_independent_set
 
@@ -72,6 +80,96 @@ class TestSolverPins:
         assert on.weight == off.weight == 47
         assert sorted(on.nodes) == sorted(off.nodes)
         assert sorted(on.nodes) == [1, 3, 5, 6, 8, 12, 15, 16]
+
+
+#: Sorted witnesses of the seed-0 sweep instances below, as the solver
+#: reported them before its clique cover was built by extraction and
+#: its rebuild ratio retuned on these very instances.
+F_X_ELL2_T4_INTERSECTING = (
+    40,
+    [
+        ('A', 0, 0, 2), ('A', 0, 1, 0), ('A', 1, 0, 2), ('A', 1, 1, 0),
+        ('A', 2, 0, 2), ('A', 2, 1, 0), ('A', 3, 0, 2), ('A', 3, 1, 0),
+        ('C', 0, 0, 0, 2), ('C', 0, 0, 1, 2), ('C', 0, 0, 2, 2),
+        ('C', 0, 1, 0, 0), ('C', 0, 1, 1, 0), ('C', 0, 1, 2, 0),
+        ('C', 1, 0, 0, 2), ('C', 1, 0, 1, 2), ('C', 1, 0, 2, 2),
+        ('C', 1, 1, 0, 0), ('C', 1, 1, 1, 0), ('C', 1, 1, 2, 0),
+        ('C', 2, 0, 0, 2), ('C', 2, 0, 1, 2), ('C', 2, 0, 2, 2),
+        ('C', 2, 1, 0, 0), ('C', 2, 1, 1, 0), ('C', 2, 1, 2, 0),
+        ('C', 3, 0, 0, 2), ('C', 3, 0, 1, 2), ('C', 3, 0, 2, 2),
+        ('C', 3, 1, 0, 0), ('C', 3, 1, 1, 0), ('C', 3, 1, 2, 0),
+    ],
+)
+F_X_ELL2_T4_DISJOINT = (
+    34,
+    [
+        ('A', 0, 0, 0), ('A', 1, 0, 0), ('A', 2, 0, 0), ('A', 2, 1, 2),
+        ('A', 3, 0, 0), ('C', 0, 0, 0, 0), ('C', 0, 0, 1, 0),
+        ('C', 0, 0, 2, 0), ('C', 0, 1, 0, 2), ('C', 0, 1, 1, 2),
+        ('C', 0, 1, 2, 2), ('C', 1, 0, 0, 0), ('C', 1, 0, 1, 0),
+        ('C', 1, 0, 2, 0), ('C', 1, 1, 0, 2), ('C', 1, 1, 1, 2),
+        ('C', 1, 1, 2, 2), ('C', 2, 0, 0, 0), ('C', 2, 0, 1, 0),
+        ('C', 2, 0, 2, 0), ('C', 2, 1, 0, 2), ('C', 2, 1, 1, 2),
+        ('C', 2, 1, 2, 2), ('C', 3, 0, 0, 0), ('C', 3, 0, 1, 0),
+        ('C', 3, 0, 2, 0), ('C', 3, 1, 0, 2), ('C', 3, 1, 1, 2),
+        ('C', 3, 1, 2, 2),
+    ],
+)
+G_X_T5_DISJOINT = (
+    45,
+    [
+        ('A', 0, 6), ('A', 1, 6), ('A', 2, 6), ('A', 3, 6), ('A', 4, 6),
+        ('C', 0, 0, 6), ('C', 0, 1, 6), ('C', 0, 2, 6), ('C', 0, 3, 6),
+        ('C', 0, 4, 6), ('C', 0, 5, 6), ('C', 0, 6, 6), ('C', 1, 0, 6),
+        ('C', 1, 1, 6), ('C', 1, 2, 6), ('C', 1, 3, 6), ('C', 1, 4, 6),
+        ('C', 1, 5, 6), ('C', 1, 6, 6), ('C', 2, 0, 6), ('C', 2, 1, 6),
+        ('C', 2, 2, 6), ('C', 2, 3, 6), ('C', 2, 4, 6), ('C', 2, 5, 6),
+        ('C', 2, 6, 6), ('C', 3, 0, 6), ('C', 3, 1, 6), ('C', 3, 2, 6),
+        ('C', 3, 3, 6), ('C', 3, 4, 6), ('C', 3, 5, 6), ('C', 3, 6, 6),
+        ('C', 4, 0, 6), ('C', 4, 1, 6), ('C', 4, 2, 6), ('C', 4, 3, 6),
+        ('C', 4, 4, 6), ('C', 4, 5, 6), ('C', 4, 6, 6),
+    ],
+)
+
+
+def _sampled_instance(family, length, t, sampler):
+    """The first instance a seed-0 sweep point solves on one promise side."""
+    return family.build(sampler(length, t, rng=random.Random(0)))
+
+
+class TestSweepInstancePins:
+    """Witnesses on the sampled instances the sweeps solve, not the fixed graphs.
+
+    Input weights (Theorem 1) and input edges (Theorem 2) are what make
+    the search's cover go stale, so these are the instances a change to
+    the cover or its rebuild schedule actually exercises.
+    """
+
+    @pytest.mark.parametrize(
+        "sampler,pinned",
+        [
+            (uniquely_intersecting_inputs, F_X_ELL2_T4_INTERSECTING),
+            (pairwise_disjoint_inputs, F_X_ELL2_T4_DISJOINT),
+        ],
+        ids=["intersecting", "disjoint"],
+    )
+    def test_theorem2_ell2_t4(self, sampler, pinned):
+        params = GadgetParameters(ell=2, alpha=1, t=4)
+        family = QuadraticMaxISFamily(params)
+        graph = _sampled_instance(family, params.k * params.k, params.t, sampler)
+        for kernel in (True, False):
+            result = max_weight_independent_set(graph, kernel=kernel)
+            assert (result.weight, sorted(result.nodes)) == pinned
+
+    def test_theorem1_t5_disjoint(self):
+        params = smallest_meaningful_linear_parameters(5)
+        family = LinearMaxISFamily(params)
+        graph = _sampled_instance(
+            family, params.k, params.t, pairwise_disjoint_inputs
+        )
+        for kernel in (True, False):
+            result = max_weight_independent_set(graph, kernel=kernel)
+            assert (result.weight, sorted(result.nodes)) == G_X_T5_DISJOINT
 
 
 class TestExperimentPins:
