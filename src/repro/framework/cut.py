@@ -44,8 +44,22 @@ def cut_edges(
 
 
 def cut_size(graph: WeightedGraph, partition: Sequence[Set[Node]]) -> int:
-    """Return ``|cut(G)|``."""
-    return len(cut_edges(graph, partition))
+    """Return ``|cut(G)|``.
+
+    Counts each node's neighbours outside its own part and halves the
+    total (a crossing edge is seen from both endpoints), without
+    building the list :func:`cut_edges` returns.  Raises
+    :class:`ValueError` in the same cases as :func:`cut_edges`.
+    """
+    membership = node_membership(partition)
+    if any(graph.degree(node) for node in graph.node_set() - membership.keys()):
+        raise ValueError("partition does not cover every edge endpoint")
+    crossing = 0
+    for part in partition:
+        for node in part:
+            if node in graph:
+                crossing += len(graph.neighbors(node) - part)
+    return crossing // 2
 
 
 def per_round_cut_traffic(

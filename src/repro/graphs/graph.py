@@ -370,12 +370,17 @@ class WeightedGraph:
     # ------------------------------------------------------------------
 
     def copy(self) -> "WeightedGraph":
-        """Return a deep structural copy."""
+        """Return a deep structural copy.
+
+        Copies the adjacency and weight dicts directly, with one fresh
+        neighbour set per node: the source is already a simple graph, so
+        no edge needs checking again.  Node and weight insertion order
+        carry over, which keeps the solver's tie order.  The derived
+        cache starts empty.
+        """
         other = WeightedGraph()
-        for node, weight in self._weights.items():
-            other.add_node(node, weight=weight)
-        for u, v in self.edges():
-            other.add_edge(u, v)
+        other._adj = {node: set(neighbors) for node, neighbors in self._adj.items()}
+        other._weights = dict(self._weights)
         return other
 
     def subgraph(self, nodes: Iterable[Node]) -> "WeightedGraph":
@@ -532,8 +537,10 @@ class WeightedGraph:
         solver's branching order), their weights and adjacency bitmasks
         in that order, and the node → position map.  Building the masks
         directly in branching order replaces the seed solver's per-bit
-        adjacency remap.  The tuple is cached via :meth:`derived_cache`
-        until the graph mutates; callers must not modify the lists.
+        adjacency remap; each mask is one mapped sum over the node's
+        neighbour bits (neighbours are distinct, so the sum equals their
+        OR).  The tuple is cached via :meth:`derived_cache` until the
+        graph mutates; callers must not modify the lists.
         """
         cache = self.derived_cache()
         form = cache.get("graph.solver_index_form")
@@ -545,13 +552,8 @@ class WeightedGraph:
             )
             index = {node: i for i, node in enumerate(order)}
             weights = [wmap[node] for node in order]
-            masks = []
-            append = masks.append
-            for node in order:
-                mask = 0
-                for neighbor in adj[node]:
-                    mask |= 1 << index[neighbor]
-                append(mask)
+            bit = {node: 1 << i for i, node in enumerate(order)}.__getitem__
+            masks = [sum(map(bit, adj[node])) for node in order]
             form = (order, weights, masks, index)
             cache["graph.solver_index_form"] = form
         return form

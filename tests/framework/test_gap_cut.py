@@ -1,6 +1,10 @@
 """Tests for gap predicates and cut computation."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.framework import (
     GapPredicate,
@@ -81,6 +85,45 @@ class TestCut:
         graph = WeightedGraph(edges=[("a", "b")])
         with pytest.raises(ValueError):
             cut_edges(graph, [{"a"}])
+
+    @pytest.mark.parametrize("count", [cut_edges, cut_size])
+    def test_node_in_two_parts_raises(self, count):
+        graph = WeightedGraph(edges=[("a", "b")])
+        with pytest.raises(ValueError):
+            count(graph, [{"a", "b"}, {"b"}])
+
+    @pytest.mark.parametrize("count", [cut_edges, cut_size])
+    def test_uncovered_endpoint_raises_for_both(self, count):
+        graph = WeightedGraph(nodes=["lonely"], edges=[("a", "b"), ("b", "c")])
+        with pytest.raises(ValueError):
+            count(graph, [{"a", "lonely"}, {"c"}])
+
+    def test_uncovered_isolated_node_is_ignored(self):
+        graph = WeightedGraph(nodes=["lonely"], edges=[("a", "b")])
+        assert cut_size(graph, [{"a"}, {"b"}]) == 1
+
+    @settings(max_examples=150)
+    @given(
+        num_nodes=st.integers(0, 12),
+        num_parts=st.integers(1, 4),
+        num_ghosts=st.integers(0, 3),
+        seed=st.integers(0, 2**20),
+    )
+    def test_cut_size_counts_cut_edges(self, num_nodes, num_parts, num_ghosts, seed):
+        """Random graphs and partitions, some naming nodes the graph lacks."""
+        rng = random.Random(seed)
+        probability = rng.choice([0.0, 0.3, 0.7, 1.0])
+        graph = WeightedGraph(nodes=range(num_nodes))
+        graph.add_edges(
+            (u, v)
+            for u in range(num_nodes)
+            for v in range(u + 1, num_nodes)
+            if rng.random() < probability
+        )
+        partition = [set() for _ in range(num_parts)]
+        for node in [*range(num_nodes), *(f"ghost{i}" for i in range(num_ghosts))]:
+            rng.choice(partition).add(node)
+        assert cut_size(graph, partition) == len(cut_edges(graph, partition))
 
     def test_pairwise_cut_sizes(self):
         graph = WeightedGraph(

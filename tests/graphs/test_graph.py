@@ -1,6 +1,10 @@
 """Unit tests for the weighted graph substrate."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs import (
     DuplicateNodeError,
@@ -393,3 +397,107 @@ class TestDerivedCache:
         clone = pickle.loads(pickle.dumps(triangle))
         assert clone == triangle
         assert "test.entry" not in clone.derived_cache()
+
+
+@st.composite
+def tied_weighted_graph(draw):
+    """A small weighted graph with many tied weights and degrees.
+
+    Nodes are inserted in a shuffled order and edges in a random order
+    and orientation, and a few nodes are removed again, so insertion
+    order and neighbour-set layout differ from the node labels.
+    """
+    num_nodes = draw(st.integers(min_value=0, max_value=14))
+    edge_probability = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**20)))
+    labels = list(range(num_nodes))
+    rng.shuffle(labels)
+    graph = WeightedGraph()
+    for node in labels:
+        graph.add_node(node, weight=rng.choice([1, 1, 2, 3]))
+    pairs = [
+        (u, v) if rng.random() < 0.5 else (v, u)
+        for u in range(num_nodes)
+        for v in range(u + 1, num_nodes)
+        if rng.random() < edge_probability
+    ]
+    rng.shuffle(pairs)
+    graph.add_edges(pairs)
+    if num_nodes and rng.random() < 0.3:
+        for node in rng.sample(labels, k=min(2, num_nodes)):
+            graph.remove_node(node)
+    return graph
+
+
+def _mutate(graph, data):
+    """Apply one drawn mutator (add/remove edge, set weight, remove node)."""
+    nodes = graph.node_list()
+    edges = list(graph.edges())
+    choices = ["add_edge"]
+    if edges:
+        choices.append("remove_edge")
+    if nodes:
+        choices += ["set_weight", "remove_node"]
+    kind = data.draw(st.sampled_from(choices))
+    if kind == "add_edge":
+        # One endpoint may be new, so add_edge also creates a node.
+        u = data.draw(st.sampled_from(nodes + ["new"]))
+        v = data.draw(st.sampled_from([n for n in nodes + ["fresh"] if n != u]))
+        graph.add_edge(u, v)
+    elif kind == "remove_edge":
+        graph.remove_edge(*data.draw(st.sampled_from(edges)))
+    elif kind == "set_weight":
+        graph.set_weight(data.draw(st.sampled_from(nodes)), data.draw(st.integers(0, 4)))
+    else:
+        graph.remove_node(data.draw(st.sampled_from(nodes)))
+
+
+def reference_solver_index_form(graph):
+    """The solver index form built by a per-neighbour OR loop.
+
+    Test-only reference for :meth:`WeightedGraph.solver_index_form`:
+    the same branching order, each mask accumulated bit by bit.
+    """
+    wmap = graph.weights()
+    order = sorted(graph.nodes(), key=lambda node: (-wmap[node], -graph.degree(node)))
+    index = {node: i for i, node in enumerate(order)}
+    masks = []
+    for node in order:
+        mask = 0
+        for neighbor in graph.neighbors(node):
+            mask |= 1 << index[neighbor]
+        masks.append(mask)
+    return order, [wmap[node] for node in order], masks, index
+
+
+class TestCopyProperties:
+    @settings(max_examples=150)
+    @given(tied_weighted_graph())
+    def test_copy_matches_source(self, graph):
+        clone = graph.copy()
+        assert clone == graph
+        assert list(clone.nodes()) == list(graph.nodes())
+        assert list(clone.weights()) == list(graph.weights())
+        assert clone.solver_index_form() == graph.solver_index_form()
+
+    @settings(max_examples=150)
+    @given(tied_weighted_graph(), st.data())
+    def test_mutating_copy_leaves_source(self, graph, data):
+        form = graph.solver_index_form()
+        nodes, edges, weights = graph.node_list(), graph.edge_set(), graph.weights()
+        clone = graph.copy()
+        _mutate(clone, data)
+        assert graph.node_list() == nodes
+        assert graph.edge_set() == edges
+        assert graph.weights() == weights
+        assert graph.solver_index_form() is form
+        assert form == reference_solver_index_form(graph)
+
+
+class TestSolverIndexFormProperties:
+    @settings(max_examples=150)
+    @given(tied_weighted_graph(), st.data())
+    def test_matches_or_loop_reference(self, graph, data):
+        assert graph.solver_index_form() == reference_solver_index_form(graph)
+        _mutate(graph, data)
+        assert graph.solver_index_form() == reference_solver_index_form(graph)

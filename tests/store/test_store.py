@@ -1,7 +1,16 @@
 """ResultStore facade + process-global configuration semantics."""
 
+import contextlib
+import os
+import pathlib
+import signal
+import sqlite3
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro import obs, store
 from repro.store import (
     MISS,
@@ -225,6 +234,79 @@ class TestCorruptDiskPayloads:
         backend.put(key, "exploding", b"[]", kind="test.bug")
         with pytest.raises(RuntimeError, match="codec bug"):
             result_store.get(key)
+
+
+#: A writer that dies by SIGKILL after ``write_bytes`` has written its
+#: temp file and before ``os.replace`` moves it into place.
+_KILLED_WRITER = """
+import os, signal, sys
+from repro.store import DiskBackend, ResultStore
+
+os.replace = lambda *args: os.kill(os.getpid(), signal.SIGKILL)
+ResultStore(DiskBackend(sys.argv[1])).get_or_compute(
+    "test.fault", {}, sys.argv[2:], "json", lambda: {"answer": 42}
+)
+"""
+
+
+class TestStoreFaults:
+    """A locked index or a killed writer costs a miss and a recompute,
+    never a wrong value, and leaves a readable entry behind."""
+
+    VALUE = {"answer": 42}
+
+    def _lookup(self, result_store, calls):
+        def compute():
+            calls.append(1)
+            return dict(self.VALUE)
+
+        return result_store.get_or_compute("test.fault", {}, MODULES, "json", compute)
+
+    def test_locked_index_misses_then_recovers(self, tmp_path):
+        backend = DiskBackend(tmp_path)
+        backend._BUSY_TIMEOUT_S = 0.05  # fail fast on the held lock
+        result_store = ResultStore(backend)
+        key = result_store.key_for("test.fault", {}, MODULES)
+        calls = []
+        with contextlib.closing(
+            sqlite3.connect(backend.index_path, isolation_level=None)
+        ) as holder:
+            holder.execute("BEGIN EXCLUSIVE")
+            with obs.recording() as recorder:
+                assert self._lookup(result_store, calls) == self.VALUE
+            holder.execute("ROLLBACK")
+        assert calls == [1]
+        assert recorder.counters["cache.miss"] == 1
+        # The payload landed but its index row was skipped under the
+        # lock, so the next lookup recomputes once and re-indexes it.
+        assert backend.stats()["kinds"]["(unindexed)"]["entries"] == 1
+        assert self._lookup(result_store, calls) == self.VALUE
+        assert calls == [1, 1]
+        assert result_store.get(key) == self.VALUE
+        assert backend.stats()["entries"] == 1
+
+    def test_writer_killed_before_rename_leaves_no_entry(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).parents[1])
+        writer = subprocess.run(
+            [sys.executable, "-c", _KILLED_WRITER, str(tmp_path), *MODULES],
+            env=env,
+            timeout=60,
+        )
+        assert writer.returncode == -signal.SIGKILL
+        backend = DiskBackend(tmp_path)
+        result_store = ResultStore(backend)
+        key = result_store.key_for("test.fault", {}, MODULES)
+        orphans = list(backend.objects_dir.rglob("*.tmp"))
+        assert [path.name.split(".")[0] for path in orphans] == [key]
+        assert backend.stats()["entries"] == 0
+        calls = []
+        with obs.recording() as recorder:
+            assert self._lookup(result_store, calls) == self.VALUE
+        assert calls == [1]
+        assert recorder.counters["cache.miss"] == 1
+        assert result_store.get(key) == self.VALUE
+        assert backend.stats()["entries"] == 1
 
 
 class TestConfigure:
