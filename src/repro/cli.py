@@ -52,8 +52,8 @@ Deep profiling (the "Deep profiling" section of
 ``docs/OBSERVABILITY.md``): ``claims``, ``theorem1``, ``theorem2``,
 and ``bench`` accept ``--deep-profile [HZ]`` (background sampling
 profiler attributing collapsed stacks to the open span tree; writes
-``DEEPPROF_<cmd>.json`` + ``<cmd>.folded`` + ``<cmd>.speedscope.json``
-and prints the critical-path "where did the time go" table) and
+``DEEPPROF_<cmd>.json`` + ``<cmd>.folded`` and prints the
+critical-path "where did the time go" table) and
 ``--mem-profile`` (tracemalloc peaks per span + top allocation sites);
 ``repro flame`` renders any of those outputs — or a profiled
 ``events.jsonl`` — as a self-contained SVG flamegraph the dashboard
@@ -397,7 +397,7 @@ def _add_deepprof_args(parser: argparse.ArgumentParser) -> None:
         metavar="HZ",
         help=(
             "run a background sampling profiler and write folded stacks "
-            f"+ speedscope JSON (default {DEFAULT_HZ:g} Hz; see the "
+            f"(default {DEFAULT_HZ:g} Hz; see the "
             '"Deep profiling" section of docs/OBSERVABILITY.md)'
         ),
     )
@@ -414,9 +414,8 @@ def _add_deepprof_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="DIR",
         help=(
-            "directory for DEEPPROF_<cmd>.json / <cmd>.folded / "
-            "<cmd>.speedscope.json (default benchmarks/results so the "
-            "dashboard picks them up)"
+            "directory for DEEPPROF_<cmd>.json / <cmd>.folded "
+            "(default benchmarks/results so the dashboard picks them up)"
         ),
     )
 
@@ -437,7 +436,7 @@ def _deep_profiled(args: argparse.Namespace) -> Iterator[Optional[object]]:
     enables the recorder (samples attribute to the open span path),
     installs the profiler as the ambient one (so the process backend
     arms per-worker samplers and merges their aggregates back), and on
-    success writes the three artifacts and prints the "where did the
+    success writes the two artifacts and prints the "where did the
     time go" critical-path table plus top frames / memory summaries.
 
     Sits *outside* ``_profiled`` in the with-chain so the command span
@@ -481,7 +480,6 @@ def _deep_profiled(args: argparse.Namespace) -> Iterator[Optional[object]]:
             print(deepprof.render_memory(profiler))
         print(f"\n[deep profile written to {paths['document']}]")
         print(f"[folded stacks written to {paths['folded']}]")
-        print(f"[speedscope profile written to {paths['speedscope']}]")
 
 
 def _profile_simulation_phase(recorder: Optional[object], seed: int) -> None:

@@ -82,11 +82,17 @@ class FullGraphCollection(NodeAlgorithm):
         ctx.halt(self._evaluate(graph))
 
     def reconstruct_graph(self) -> WeightedGraph:
-        """Build the collected graph from the fact set."""
+        """Build the collected graph from the fact set.
+
+        Nodes are added in sorted order, not set order: the graph's
+        node order fixes the tie order of the local solve, which must
+        not follow ``PYTHONHASHSEED``.  Edges need no order, since each
+        node's neighbours are kept in a set.
+        """
         graph = WeightedGraph()
-        for fact in self._facts:
-            if fact[0] == "N":
-                graph.add_node(fact[1], weight=fact[2])
+        nodes = sorted((fact for fact in self._facts if fact[0] == "N"), key=repr)
+        for fact in nodes:
+            graph.add_node(fact[1], weight=fact[2])
         for fact in self._facts:
             if fact[0] == "E":
                 graph.add_edge(fact[1], fact[2])

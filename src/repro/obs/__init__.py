@@ -43,12 +43,10 @@ from .deepprof import (
     DeepProfiler,
     _clear_ambient_profiler,
     critical_path,
-    dump_speedscope,
     folded_lines,
     get_profiler,
     render_critical_path,
     span_folded,
-    speedscope_document,
     structural_span_keys,
     using_profiler,
     write_artifacts,
@@ -93,13 +91,11 @@ from .reqtrace import (
     RequestTrace,
     TraceBuffer,
     TraceContext,
-    TraceSpan,
     current_trace,
     format_traceparent,
     mint_span_id,
     mint_trace_id,
     parse_traceparent,
-    trace_region,
     using_trace,
 )
 from .sinks import InMemorySink, JsonlSink, Sink, counter_events
@@ -194,14 +190,12 @@ __all__ = [
     "TRACE_SCHEMA_VERSION",
     "TraceBuffer",
     "TraceContext",
-    "TraceSpan",
     "build_manifest",
     "chrome_trace",
     "counter_events",
     "critical_path",
     "current_trace",
     "disable",
-    "dump_speedscope",
     "enable",
     "ensure_json_native",
     "flamegraph_svg",
@@ -228,13 +222,11 @@ __all__ = [
     "run_provenance",
     "sanitize_metric_name",
     "span_folded",
-    "speedscope_document",
     "structural_span_keys",
     "summarize",
     "trace_events",
     "trace_from_events",
     "trace_from_recorder",
-    "trace_region",
     "using_monitor",
     "using_trace",
     "using_profiler",

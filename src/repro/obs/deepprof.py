@@ -27,10 +27,9 @@ Critical path
     the longest-child chain, attributing self-time (duration minus
     children) at every hop — the "where did the time go" table.
 
-Exports are byte-deterministic: folded-stack text
-(:func:`folded_lines`, one ``stack count`` line per key, sorted) and
-speedscope JSON (:func:`speedscope_document` +
-:func:`dump_speedscope`), both functions of the sample dict alone.
+The export is byte-deterministic folded-stack text
+(:func:`folded_lines`, one ``stack count`` line per key, sorted), a
+function of the sample dict alone.
 
 Cross-process flow: pool workers run their own profiler per unit
 (armed by :func:`repro.parallel.jobs.init_deepprof` through the pool
@@ -51,7 +50,7 @@ import time
 import tracemalloc
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .recorder import Recorder, SpanRecord
+from .recorder import Recorder, SpanRecord, span_records
 
 #: Bumped when the ``state()`` payload shape changes.
 DEEPPROF_SCHEMA_VERSION = 1
@@ -217,7 +216,9 @@ class DeepProfiler:
                     tracemalloc.Filter(False, "*/tracemalloc.py"),
                 )
             )
-            for stat in snapshot.statistics("lineno")[: self.top_allocations]:
+            # Zero-byte traces (a list shrunk to empty) are not sites.
+            stats = [s for s in snapshot.statistics("lineno") if s.size > 0]
+            for stat in stats[: self.top_allocations]:
                 frame = stat.traceback[0]
                 site = _short_site(frame.filename, frame.lineno)
                 entry = self._allocations.setdefault(site, [0, 0])
@@ -411,7 +412,7 @@ class DeepProfiler:
         }
 
 
-# -- folded / speedscope exports --------------------------------------
+# -- folded export -----------------------------------------------------
 
 
 def folded_lines(samples: Dict[str, int]) -> str:
@@ -463,78 +464,7 @@ def structural_span_keys(
     )
 
 
-def speedscope_document(
-    samples: Dict[str, int], name: str = "repro deep profile"
-) -> Dict[str, Any]:
-    """A speedscope ``sampled`` profile of the aggregated stacks.
-
-    Frame indices are assigned in first-appearance order over the
-    sorted keys, so the document is a pure function of ``samples``.
-    Weights are sample counts (``unit: none`` — the hz is in the
-    profile name, wall attribution belongs to the span layer).
-    """
-    frames: List[Dict[str, str]] = []
-    index: Dict[str, int] = {}
-    stacks: List[List[int]] = []
-    weights: List[int] = []
-    for key in sorted(samples):
-        if not samples[key]:
-            continue
-        stack_indices: List[int] = []
-        for label in key.split(";"):
-            if label not in index:
-                index[label] = len(frames)
-                frames.append({"name": label})
-            stack_indices.append(index[label])
-        stacks.append(stack_indices)
-        weights.append(int(samples[key]))
-    return {
-        "$schema": "https://www.speedscope.app/file-format-schema.json",
-        "activeProfileIndex": 0,
-        "exporter": "repro.obs.deepprof",
-        "name": name,
-        "shared": {"frames": frames},
-        "profiles": [
-            {
-                "type": "sampled",
-                "name": name,
-                "unit": "none",
-                "startValue": 0,
-                "endValue": sum(weights),
-                "samples": stacks,
-                "weights": weights,
-            }
-        ],
-    }
-
-
-def dump_speedscope(document: Dict[str, Any]) -> str:
-    """Byte-deterministic speedscope JSON text."""
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
-
-
 # -- critical path -----------------------------------------------------
-
-
-def _as_records(spans: Sequence[Union[SpanRecord, Dict[str, Any]]]) -> List[SpanRecord]:
-    records: List[SpanRecord] = []
-    for span in spans:
-        if isinstance(span, SpanRecord):
-            records.append(span)
-        else:
-            records.append(
-                SpanRecord(
-                    index=int(span["index"]),
-                    parent=span.get("parent"),
-                    depth=int(span.get("depth", 0)),
-                    name=str(span.get("name", "?")),
-                    params=span.get("params") or {},
-                    start_s=float(span.get("start_s", 0.0)),
-                    duration_s=float(span.get("duration_s", 0.0)),
-                    track=span.get("track"),
-                )
-            )
-    return records
 
 
 def critical_path(
@@ -548,11 +478,8 @@ def critical_path(
     it had.  Ties break toward record order, so the result is
     deterministic for identical inputs.
     """
-    records = _as_records(spans)
-    if not records:
-        return []
     children: Dict[Optional[int], List[SpanRecord]] = {}
-    for record in records:
+    for record in span_records(spans):
         children.setdefault(record.parent, []).append(record)
     roots = children.get(None, [])
     if not roots:
@@ -672,12 +599,12 @@ def write_artifacts(
     out_dir: Union[str, pathlib.Path],
     spans: Sequence[Union[SpanRecord, Dict[str, Any]]] = (),
 ) -> Dict[str, pathlib.Path]:
-    """Write the three deep-profile artifacts for one run.
+    """Write the two deep-profile artifacts for one run.
 
-    ``DEEPPROF_<name>.json`` (full document, dashboard input),
+    ``DEEPPROF_<name>.json`` (full document, dashboard input) and
     ``<name>.folded`` (collapsed stacks for ``repro flame`` or any
-    external flamegraph tool), and ``<name>.speedscope.json``.  All
-    three are byte-deterministic given the profiler state.
+    external flamegraph tool).  Both are byte-deterministic given the
+    profiler state.
     """
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -685,15 +612,11 @@ def write_artifacts(
     paths = {
         "document": out / f"DEEPPROF_{name}.json",
         "folded": out / f"{name}.folded",
-        "speedscope": out / f"{name}.speedscope.json",
     }
     paths["document"].write_text(
         json.dumps(document, indent=2, sort_keys=True) + "\n"
     )
     paths["folded"].write_text(folded_lines(profiler.samples))
-    paths["speedscope"].write_text(
-        dump_speedscope(speedscope_document(profiler.samples, name=name))
-    )
     return paths
 
 

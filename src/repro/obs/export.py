@@ -32,7 +32,7 @@ import json
 import pathlib
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
-from .recorder import Recorder, SpanRecord
+from .recorder import Recorder, SpanRecord, span_records
 
 #: pid of the in-process (``track is None``) lane.
 MAIN_PID = 1
@@ -44,20 +44,7 @@ MAIN_PID = 1
 _STRUCTURE_KEYS = ("repro.index", "repro.parent", "repro.depth", "repro.track")
 
 
-def _span_dicts(
-    spans: Iterable[Union[SpanRecord, Mapping[str, Any]]]
-) -> List[Dict[str, Any]]:
-    """Normalize spans (records or event dicts) to plain event dicts."""
-    events: List[Dict[str, Any]] = []
-    for span in spans:
-        if isinstance(span, SpanRecord):
-            events.append(span.to_dict())
-        else:
-            events.append(dict(span))
-    return events
-
-
-def _track_pids(events: List[Dict[str, Any]]) -> Dict[Optional[str], int]:
+def _track_pids(records: List[SpanRecord]) -> Dict[Optional[str], int]:
     """``track label -> pid`` in first-appearance order (main lane first).
 
     The main lane keeps pid 1 even when every span came from workers,
@@ -65,10 +52,9 @@ def _track_pids(events: List[Dict[str, Any]]) -> Dict[Optional[str], int]:
     recorded.
     """
     pids: Dict[Optional[str], int] = {None: MAIN_PID}
-    for event in events:
-        track = event.get("track")
-        if track is not None and track not in pids:
-            pids[track] = MAIN_PID + len(pids)
+    for record in records:
+        if record.track is not None and record.track not in pids:
+            pids[record.track] = MAIN_PID + len(pids)
     return pids
 
 
@@ -83,8 +69,8 @@ def trace_events(
     parameters become the event's ``args`` alongside the reserved
     ``repro.*`` structure keys.
     """
-    events = _span_dicts(spans)
-    pids = _track_pids(events)
+    records = span_records(spans)
+    pids = _track_pids(records)
     out: List[Dict[str, Any]] = []
     for track, pid in pids.items():
         name = trace_name if track is None else str(track)
@@ -106,21 +92,21 @@ def trace_events(
                 "args": {"sort_index": pid},
             }
         )
-    for event in events:
-        args: Dict[str, Any] = dict(event.get("params") or {})
-        args["repro.index"] = event.get("index")
-        args["repro.parent"] = event.get("parent")
-        args["repro.depth"] = event.get("depth")
-        args["repro.track"] = event.get("track")
+    for record in records:
+        args: Dict[str, Any] = dict(record.params)
+        args["repro.index"] = record.index
+        args["repro.parent"] = record.parent
+        args["repro.depth"] = record.depth
+        args["repro.track"] = record.track
         out.append(
             {
                 "ph": "X",
-                "name": event["name"],
+                "name": record.name,
                 "cat": "span",
-                "pid": pids[event.get("track")],
+                "pid": pids[record.track],
                 "tid": MAIN_PID,
-                "ts": round(float(event["start_s"]) * 1e6, 3),
-                "dur": round(float(event.get("duration_s", 0.0)) * 1e6, 3),
+                "ts": round(record.start_s * 1e6, 3),
+                "dur": round(record.duration_s * 1e6, 3),
                 "args": args,
             }
         )

@@ -20,10 +20,10 @@ any profiled run even without ``--deep-profile``.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 from xml.sax.saxutils import escape, quoteattr
 
-from .recorder import SpanRecord
+from .recorder import SpanRecord, span_records
 
 #: Pixel height of one stack level.
 ROW_HEIGHT = 18
@@ -59,7 +59,7 @@ def parse_folded(text: str) -> Dict[str, int]:
 
 
 def folded_from_spans(
-    spans: Sequence[Union[SpanRecord, Dict[str, Any]]],
+    spans: Sequence[Union[SpanRecord, Mapping[str, Any]]],
 ) -> Dict[str, int]:
     """Fold a span tree into samples weighted by self-time (µs).
 
@@ -68,32 +68,16 @@ def folded_from_spans(
     Zero-weight keys are dropped, matching how a sampling profiler
     would simply never observe them.
     """
-    normalized: List[Dict[str, Any]] = []
-    for span in spans:
-        if isinstance(span, SpanRecord):
-            normalized.append(
-                {
-                    "index": span.index,
-                    "parent": span.parent,
-                    "name": span.name,
-                    "duration_s": span.duration_s,
-                }
-            )
-        else:
-            normalized.append(span)
-    children: Dict[Optional[int], List[Dict[str, Any]]] = {}
-    for span in normalized:
-        children.setdefault(span.get("parent"), []).append(span)
+    children: Dict[Optional[int], List[SpanRecord]] = {}
+    for record in span_records(spans):
+        children.setdefault(record.parent, []).append(record)
     samples: Dict[str, int] = {}
 
-    def walk(span: Dict[str, Any], path: List[str]) -> None:
-        name = str(span.get("name", "?")).replace(";", ",").replace(" ", "_")
-        path = path + [name]
-        kids = children.get(span.get("index"), [])
-        child_total = sum(float(kid.get("duration_s", 0.0)) for kid in kids)
-        self_us = int(
-            round(max(0.0, float(span.get("duration_s", 0.0)) - child_total) * 1e6)
-        )
+    def walk(record: SpanRecord, path: List[str]) -> None:
+        path = path + [record.name.replace(";", ",").replace(" ", "_")]
+        kids = children.get(record.index, [])
+        child_total = sum(kid.duration_s for kid in kids)
+        self_us = int(round(max(0.0, record.duration_s - child_total) * 1e6))
         if self_us > 0:
             key = ";".join(path)
             samples[key] = samples.get(key, 0) + self_us

@@ -24,7 +24,17 @@ imported lazily inside the render methods.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from .metrics import DEFAULT_RESERVOIR_SIZE, Histogram, render_summary_rows
 
@@ -55,10 +65,13 @@ def register_hard_reset_hook(hook: Callable[[], None]) -> None:
 class SpanRecord:
     """One span: name, parameters, timing, and position in the tree.
 
-    ``track`` labels the execution lane the span was recorded on —
-    ``None`` for in-process spans, a stable label (the work-unit id)
-    for spans grafted from a worker snapshot.  Trace export renders
-    each track as its own Perfetto/Chrome-trace process row.
+    ``index`` is the span's position in its list (a recorder's
+    ``spans`` or a request trace's) and ``parent`` the index of its
+    parent, ``None`` for a root.  ``track`` labels the execution lane
+    the span was recorded on — ``None`` for in-process spans, a stable
+    label (the work-unit id) for spans grafted from a worker snapshot.
+    Trace export renders each track as its own Perfetto/Chrome-trace
+    process row.
     """
 
     __slots__ = (
@@ -106,11 +119,39 @@ class SpanRecord:
             "track": self.track,
         }
 
+    @classmethod
+    def from_dict(cls, event: Mapping[str, Any]) -> "SpanRecord":
+        """The inverse of :meth:`to_dict` (missing optional keys default).
+
+        The one conversion from span event dicts — replayed JSONL,
+        worker snapshots, served trace documents — back to records.
+        """
+        return cls(
+            index=int(event["index"]),
+            parent=event.get("parent"),
+            depth=int(event.get("depth", 0)),
+            name=str(event.get("name", "?")),
+            params=dict(event.get("params") or {}),
+            start_s=float(event.get("start_s", 0.0)),
+            duration_s=float(event.get("duration_s", 0.0)),
+            track=event.get("track"),
+        )
+
     def __repr__(self) -> str:
         return (
             f"SpanRecord({self.name!r}, depth={self.depth}, "
             f"duration_s={self.duration_s:.6f})"
         )
+
+
+def span_records(
+    spans: Iterable[Union[SpanRecord, Mapping[str, Any]]]
+) -> List[SpanRecord]:
+    """``spans`` as records: records pass through, dicts use ``from_dict``."""
+    return [
+        span if isinstance(span, SpanRecord) else SpanRecord.from_dict(span)
+        for span in spans
+    ]
 
 
 class _NullSpan:
@@ -299,17 +340,13 @@ class Recorder:
         graft_parent = self._stack[-1].index if self._stack else None
         graft_depth = self._stack[-1].depth + 1 if self._stack else 0
         for event in snapshot.get("spans", ()):
-            parent = event["parent"]
-            record = SpanRecord(
-                index=base + event["index"],
-                parent=base + parent if parent is not None else graft_parent,
-                depth=graft_depth + event["depth"],
-                name=event["name"],
-                params=dict(event.get("params", {})),
-                start_s=event["start_s"],
-                duration_s=event["duration_s"],
-                track=event.get("track") or track,
+            record = SpanRecord.from_dict(event)
+            record.index += base
+            record.parent = (
+                graft_parent if record.parent is None else base + record.parent
             )
+            record.depth += graft_depth
+            record.track = record.track or track
             self.spans.append(record)
             for sink in self._sinks:
                 sink.on_span(record)

@@ -21,16 +21,20 @@ Three cooperating pieces:
     able to fail a request.
 
 :class:`RequestTrace`
-    One request's span tree.  Spans carry explicit parents (no ambient
-    stack — spans are recorded from the event loop *and* the dispatcher
-    thread), JSON-native attributes, and the same
-    ``perf_counter``-based clock the :class:`~repro.obs.recorder.
-    Recorder` uses, so recorder spans captured during a computation
-    graft in with aligned timestamps.  ``links`` connect a trace to
-    another trace (a coalesced follower links to its leader).  The
-    finished trace converts losslessly to recorder-shaped span events,
-    which is what lets ``GET /v1/traces/<id>?format=chrome`` reuse
-    :mod:`repro.obs.export` unchanged.
+    One request's span tree, held as plain
+    :class:`~repro.obs.recorder.SpanRecord` objects: ``index`` is the
+    span's position in the trace, ``parent`` its parent's index, and
+    the root ``request`` span is index 0.  Spans carry explicit parents
+    (no ambient stack — spans are recorded from the event loop *and*
+    the dispatcher thread) and the same ``perf_counter`` clock the
+    :class:`~repro.obs.recorder.Recorder` uses, so the recorder spans a
+    computation closes are rebased into the trace (:meth:`RequestTrace.
+    adopt`) with aligned timestamps.  Only the root carries a W3C span
+    id (``root_span_id``), which the ``traceparent`` echo, the access
+    log, and ``links`` (a coalesced follower links to its leader's
+    root) use.  Because the spans are recorder records,
+    ``GET /v1/traces/<id>?format=chrome`` is just
+    :func:`repro.obs.export.chrome_trace` over ``trace.spans``.
 
 :class:`TraceBuffer`
     The retention tier: two bounded deques, one for routine traces and
@@ -44,8 +48,8 @@ captures :func:`contextvars.copy_context` at submission and runs the
 work inside it, so :func:`current_trace` works on the dispatcher thread
 without any parameter threading.
 
-Nothing here imports the rest of :mod:`repro` — like the recorder, this
-module sits below every other layer.
+Nothing here imports the rest of :mod:`repro` beyond the recorder —
+like the recorder, this module sits below every other layer.
 """
 
 from __future__ import annotations
@@ -56,10 +60,16 @@ import os
 import threading
 import time
 from collections import deque
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Sequence
+
+from .recorder import SpanRecord
 
 #: Version stamp on trace documents served by ``GET /v1/traces[/<id>]``.
-TRACE_SCHEMA_VERSION = 1
+#: v2: each entry of ``spans`` is a recorder span event
+#: (:meth:`~repro.obs.recorder.SpanRecord.to_dict`: ``index``,
+#: ``parent`` index, ``depth``, ``params``) instead of a
+#: ``span_id``/``parent_id``/``attrs`` object.
+TRACE_SCHEMA_VERSION = 2
 
 #: The one ``traceparent`` version this parser accepts (the W3C level
 #: the service emits).  Unknown versions fall back to a fresh mint.
@@ -138,71 +148,37 @@ def format_traceparent(trace_id: str, span_id: str, sampled: bool = True) -> str
     return f"{TRACEPARENT_VERSION}-{trace_id}-{span_id}-{flags}"
 
 
-class TraceSpan:
-    """One span inside a request trace (explicit parent, no stack)."""
+class _SpanCloser:
+    """Closes one explicit-parent trace span on exit.
 
-    __slots__ = ("span_id", "parent_id", "name", "start_s", "duration_s", "attrs")
+    Entering yields the span's :class:`SpanRecord`, so callers can read
+    its ``index`` (the parent of later spans) and add ``params``.
+    """
 
-    def __init__(
-        self,
-        span_id: str,
-        parent_id: Optional[str],
-        name: str,
-        start_s: float,
-        duration_s: float = 0.0,
-        attrs: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.name = name
-        self.start_s = start_s
-        self.duration_s = duration_s
-        self.attrs = attrs or {}
+    __slots__ = ("_record",)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "start_s": self.start_s,
-            "duration_s": self.duration_s,
-            "attrs": dict(self.attrs),
-        }
+    def __init__(self, record: SpanRecord) -> None:
+        self._record = record
 
-
-class _OpenTraceSpan:
-    """Context manager that closes an explicit-parent span on exit."""
-
-    __slots__ = ("_trace", "_span")
-
-    def __init__(self, trace: "RequestTrace", span: TraceSpan) -> None:
-        self._trace = trace
-        self._span = span
-
-    @property
-    def span_id(self) -> str:
-        return self._span.span_id
-
-    def set(self, **attrs: Any) -> None:
-        """Attach attributes to the span while it is open."""
-        self._span.attrs.update(attrs)
-
-    def __enter__(self) -> "_OpenTraceSpan":
-        return self
+    def __enter__(self) -> SpanRecord:
+        return self._record
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> bool:
-        self._span.duration_s = time.perf_counter() - self._span.start_s
+        self._record.duration_s = time.perf_counter() - self._record.start_s
         return False
 
 
 class RequestTrace:
     """One request's span tree, links, and final disposition.
 
-    Spans are appended under a lock because the event loop and the
-    dispatcher thread both record into the same trace.  The root span
-    is opened at construction and closed by :meth:`finish`, which also
-    stamps the request's outcome (status, disposition, error) so the
-    retention buffer can classify the trace.
+    ``spans`` is a list of :class:`SpanRecord` whose ``index`` is the
+    list position; the root ``request`` span is index 0 and every
+    other span names its parent's index.  Spans are appended under a
+    lock because the event loop and the dispatcher thread both record
+    into the same trace.  The root span is opened at construction and
+    closed by :meth:`finish`, which also stamps the request's outcome
+    (status, disposition, error) so the retention buffer can classify
+    the trace.  Only the root has a W3C span id (``root_span_id``).
     """
 
     def __init__(
@@ -215,6 +191,7 @@ class RequestTrace:
         received_s: Optional[float] = None,
     ) -> None:
         self.trace_id = trace_id or mint_trace_id()
+        self.root_span_id = mint_span_id()
         self.endpoint = endpoint
         self.method = method
         self.path = path
@@ -225,17 +202,18 @@ class RequestTrace:
         self.error: Optional[str] = None
         self.links: List[Dict[str, str]] = []
         self._lock = threading.Lock()
-        root_attrs: Dict[str, Any] = {"method": method, "path": path}
+        root_params: Dict[str, Any] = {"method": method, "path": path}
         if self.remote_parent_id is not None:
-            root_attrs["remote_parent_span_id"] = self.remote_parent_id
-        self._root = TraceSpan(
-            span_id=mint_span_id(),
-            parent_id=None,
+            root_params["remote_parent_span_id"] = self.remote_parent_id
+        self._root = SpanRecord(
+            index=0,
+            parent=None,
+            depth=0,
             name="request",
+            params=root_params,
             start_s=received_s if received_s is not None else time.perf_counter(),
-            attrs=root_attrs,
         )
-        self.spans: List[TraceSpan] = [self._root]
+        self.spans: List[SpanRecord] = [self._root]
         self._finished = False
 
     # ------------------------------------------------------------------
@@ -243,79 +221,80 @@ class RequestTrace:
     # ------------------------------------------------------------------
 
     @property
-    def root_span_id(self) -> str:
-        return self._root.span_id
-
-    @property
     def duration_ms(self) -> float:
         return self._root.duration_s * 1000.0
 
-    def span(
-        self, name: str, parent_id: Optional[str] = None, **attrs: Any
-    ) -> _OpenTraceSpan:
-        """Open a child span; close it with ``with trace.span(...)``."""
-        record = TraceSpan(
-            span_id=mint_span_id(),
-            parent_id=parent_id or self._root.span_id,
-            name=name,
-            start_s=time.perf_counter(),
-            attrs=dict(attrs),
-        )
+    def _append(
+        self,
+        name: str,
+        parent: int,
+        start_s: float,
+        duration_s: float,
+        params: Dict[str, Any],
+    ) -> SpanRecord:
         with self._lock:
+            record = SpanRecord(
+                index=len(self.spans),
+                parent=parent,
+                depth=self.spans[parent].depth + 1,
+                name=name,
+                params=params,
+                start_s=start_s,
+                duration_s=duration_s,
+            )
             self.spans.append(record)
-        return _OpenTraceSpan(self, record)
+        return record
+
+    def span(self, name: str, parent: int = 0, **params: Any) -> _SpanCloser:
+        """Open a child of span ``parent`` (the root by default).
+
+        Close it with ``with trace.span(...) as record:``.
+        """
+        return _SpanCloser(
+            self._append(name, parent, time.perf_counter(), 0.0, params)
+        )
 
     def add_span(
         self,
         name: str,
         start_s: float,
         duration_s: float,
-        parent_id: Optional[str] = None,
-        attrs: Optional[Dict[str, Any]] = None,
-    ) -> str:
-        """Record an already-measured span; returns its span id."""
-        record = TraceSpan(
-            span_id=mint_span_id(),
-            parent_id=parent_id or self._root.span_id,
-            name=name,
-            start_s=start_s,
-            duration_s=duration_s,
-            attrs=dict(attrs or {}),
-        )
-        with self._lock:
-            self.spans.append(record)
-        return record.span_id
-
-    def graft_recorder_spans(
-        self, events: List[Dict[str, Any]], parent_id: str
+        parent: int = 0,
+        params: Optional[Dict[str, Any]] = None,
     ) -> int:
-        """Fold captured recorder span events under ``parent_id``.
+        """Record an already-measured span; returns its index."""
+        record = self._append(name, parent, start_s, duration_s, dict(params or {}))
+        return record.index
 
-        ``events`` are :meth:`~repro.obs.recorder.SpanRecord.to_dict`
-        dicts captured by a sink during one computation.  Recorder
-        indices are rebased onto fresh span ids; a parent index outside
-        the captured set attaches to ``parent_id``.  Returns the number
-        of spans grafted.
+    def adopt(self, records: Sequence[SpanRecord], parent: int) -> int:
+        """Append a run of closed recorder spans under span ``parent``.
+
+        ``records`` is a contiguous slice of a recorder's span list, so
+        each record's ``index`` is its recorder position.  They are
+        copied with indices rebased onto this trace; a parent outside
+        the slice becomes ``parent``.  Returns the number adopted.
         """
-        if not events:
+        if not records:
             return 0
-        by_index = {event["index"]: mint_span_id() for event in events}
-        grafted: List[TraceSpan] = []
-        for event in sorted(events, key=lambda e: e["index"]):
-            parent_index = event.get("parent")
-            grafted.append(
-                TraceSpan(
-                    span_id=by_index[event["index"]],
-                    parent_id=by_index.get(parent_index, parent_id),
-                    name=event["name"],
-                    start_s=float(event["start_s"]),
-                    duration_s=float(event.get("duration_s", 0.0)),
-                    attrs=dict(event.get("params") or {}),
-                )
-            )
+        first = records[0].index
         with self._lock:
-            self.spans.extend(grafted)
-        return len(grafted)
+            offset = len(self.spans) - first
+            for record in records:
+                inside = record.parent is not None and record.parent >= first
+                new_parent = record.parent + offset if inside else parent
+                self.spans.append(
+                    SpanRecord(
+                        index=record.index + offset,
+                        parent=new_parent,
+                        depth=self.spans[new_parent].depth + 1,
+                        name=record.name,
+                        params=record.params,
+                        start_s=record.start_s,
+                        duration_s=record.duration_s,
+                        track=record.track,
+                    )
+                )
+        return len(records)
 
     def link(self, trace_id: str, span_id: str, relation: str) -> None:
         """Connect this trace to a span in another trace."""
@@ -339,11 +318,11 @@ class RequestTrace:
             self.status = status
             self.disposition = disposition
             self.error = error
-            self._root.attrs["status"] = status
+            self._root.params["status"] = status
             if disposition is not None:
-                self._root.attrs["disposition"] = disposition
+                self._root.params["disposition"] = disposition
             if error is not None:
-                self._root.attrs["error"] = error
+                self._root.params["error"] = error
 
     # ------------------------------------------------------------------
     # Classification and views
@@ -386,47 +365,6 @@ class RequestTrace:
             "error": self.error,
             "links": links,
         }
-
-    def span_events(self) -> List[Dict[str, Any]]:
-        """Recorder-shaped span event dicts (index/parent/depth/...).
-
-        The bridge into :mod:`repro.obs.export`: the returned events
-        are exactly what :func:`~repro.obs.export.chrome_trace`
-        consumes, so a stored trace exports through the same pure
-        (and byte-deterministic) path as a profiled CLI run.
-        """
-        with self._lock:
-            spans = list(self.spans)
-        index_of = {span.span_id: index for index, span in enumerate(spans)}
-        depths: Dict[str, int] = {}
-
-        def depth_of(span: TraceSpan) -> int:
-            if span.span_id in depths:
-                return depths[span.span_id]
-            if span.parent_id is None or span.parent_id not in index_of:
-                depth = 0
-            else:
-                depth = depth_of(spans[index_of[span.parent_id]]) + 1
-            depths[span.span_id] = depth
-            return depth
-
-        events = []
-        for index, span in enumerate(spans):
-            parent = index_of.get(span.parent_id) if span.parent_id else None
-            events.append(
-                {
-                    "type": "span",
-                    "index": index,
-                    "parent": parent,
-                    "depth": depth_of(span),
-                    "name": span.name,
-                    "params": dict(span.attrs, **{"repro.span_id": span.span_id}),
-                    "start_s": span.start_s,
-                    "duration_s": span.duration_s,
-                    "track": None,
-                }
-            )
-        return events
 
     def to_document(self) -> Dict[str, Any]:
         """The full ``GET /v1/traces/<id>`` span-tree document."""
@@ -479,24 +417,6 @@ def using_trace(trace: Optional[RequestTrace]) -> Iterator[Optional[RequestTrace
         yield trace
     finally:
         _CURRENT.reset(token)
-
-
-@contextlib.contextmanager
-def trace_region(
-    name: str, trace: Optional[RequestTrace] = None, **attrs: Any
-) -> Iterator[Optional[_OpenTraceSpan]]:
-    """Span ``name`` on the ambient (or given) trace; no-op without one.
-
-    The instrumentation shape for layers that may or may not be inside
-    a traced request (the store, the dispatcher): always safe to call,
-    zero cost beyond one context-var read when no trace is bound.
-    """
-    trace = trace if trace is not None else current_trace()
-    if trace is None:
-        yield None
-        return
-    with trace.span(name, **attrs) as span:
-        yield span
 
 
 # ----------------------------------------------------------------------

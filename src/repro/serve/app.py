@@ -38,6 +38,7 @@ import asyncio
 import itertools
 import json
 import time
+import urllib.parse
 from typing import Any, Dict, List, Optional, Tuple
 
 from .. import obs
@@ -174,26 +175,6 @@ def endpoint_template(method: str, path: str) -> str:
     return f"{method} {path}"
 
 
-class _CaptureSink:
-    """A temporary recorder sink that collects closed spans as dicts.
-
-    Attached around one computation on the dispatcher thread (the only
-    thread that opens recorder spans in the service), so everything it
-    sees belongs to that computation.
-    """
-
-    __slots__ = ("records",)
-
-    def __init__(self) -> None:
-        self.records: List[Dict[str, Any]] = []
-
-    def on_span(self, record: Any) -> None:
-        self.records.append(record.to_dict())
-
-    def on_flush(self, recorder: Any) -> None:
-        pass
-
-
 class Application:
     """Routing + coalescing over one dispatcher and one metrics suite."""
 
@@ -264,7 +245,7 @@ class Application:
             if trace is not None:
                 with trace.span("store.lookup") as span:
                     value = store.get(key)
-                    span.set(outcome="hit" if value is not MISS else "miss")
+                    span.params["outcome"] = "hit" if value is not MISS else "miss"
             else:
                 value = store.get(key)
             if value is not MISS:
@@ -274,7 +255,7 @@ class Application:
                 "store.lookup",
                 start_s=time.perf_counter(),
                 duration_s=0.0,
-                attrs={"outcome": "off"},
+                params={"outcome": "off"},
             )
         value = self._execute_traced(kind, kwargs, trace)
         if store is not None:
@@ -290,49 +271,34 @@ class Application:
     def _execute_traced(
         self, kind: str, kwargs: Dict[str, Any], trace: Optional[RequestTrace]
     ) -> Any:
-        """Run one unit, mirroring its recorder spans onto the trace.
+        """Run one unit, rebasing its recorder spans into the trace.
 
         Always records an ``execute.<kind>`` span.  When the process
-        recorder is enabled (the ``repro serve`` CLI path), a temporary
-        sink captures the spans the computation closes — kernelization
-        phases, the solver itself — and grafts them under the execute
-        span, so ``GET /v1/traces/<id>`` shows where the solve's time
-        went, not just that it happened.  The captured spans are then
-        trimmed from the recorder so a long-running service's span list
-        stays bounded; aggregate counters/histograms are untouched.
+        recorder is enabled (the ``repro serve`` CLI path), the unit
+        runs inside a ``serve.<kind>`` recorder span, and the closed
+        spans after it — kernelization phases, the solver itself — are
+        rebased under the execute span, so ``GET /v1/traces/<id>`` shows
+        where the solve's time went, not just that it happened.  Those
+        spans are then trimmed from the recorder so a long-running
+        service's span list stays bounded; aggregate counters and
+        histograms are untouched.
         """
         from ..parallel.jobs import execute_unit
 
         if trace is None:
             return execute_unit(kind, kwargs)
-        with trace.span(f"execute.{kind}", kind=kind) as execute_span:
+        with trace.span(f"execute.{kind}", kind=kind) as execute:
             if not _obs.enabled:
                 return execute_unit(kind, kwargs)
-            wrapper_name = f"serve.{kind}"
             base = len(_obs.spans)
-            capture = _CaptureSink()
-            _obs.add_sink(capture)
-            try:
-                with _obs.span(wrapper_name):
-                    value = execute_unit(kind, kwargs)
-            finally:
-                _obs.remove_sink(capture)
-            nested = [
-                record
-                for record in capture.records
-                if not (record["index"] == base and record["name"] == wrapper_name)
-            ]
-            grafted = trace.graft_recorder_spans(
-                nested, parent_id=execute_span.span_id
-            )
-            if grafted:
-                execute_span.set(recorder_spans=grafted)
-            if (
-                len(_obs.spans) > base
-                and _obs.spans[base].name == wrapper_name
-                and not _obs._stack
-            ):
-                del _obs.spans[base:]
+            with _obs.span(f"serve.{kind}") as wrapper:
+                value = execute_unit(kind, kwargs)
+            if len(_obs.spans) > base and _obs.spans[base] is wrapper:
+                adopted = trace.adopt(_obs.spans[base + 1 :], parent=execute.index)
+                if adopted:
+                    execute.params["recorder_spans"] = adopted
+                if not _obs._stack:
+                    del _obs.spans[base:]
             return value
 
     async def _coalesced_compute(
@@ -356,7 +322,7 @@ class Application:
                         trace.link(
                             leader_trace_id, leader_span_id, "coalesced_with"
                         )
-                        span.set(leader_trace_id=leader_trace_id)
+                        span.params["leader_trace_id"] = leader_trace_id
                     value, _ = await asyncio.shield(future)
             else:
                 value, _ = await asyncio.shield(future)
@@ -601,8 +567,7 @@ class Application:
             "traces": self.traces.summaries(),
         }
 
-    def _trace(self, rest: str, request: Request) -> Response:
-        trace_id, _, query = rest.partition("?")
+    def _trace(self, trace_id: str, request: Request) -> Response:
         trace = self.traces.get(trace_id)
         if trace is None:
             return json_response(
@@ -613,14 +578,12 @@ class Application:
                     "buffer; list recent ids at /v1/traces",
                 },
             )
-        wants_chrome = "format=chrome" in query or "format=chrome" in (
-            request.path.partition("?")[2]
-        )
-        if wants_chrome:
+        query = urllib.parse.parse_qs(urllib.parse.urlsplit(request.path).query)
+        if query.get("format") == ["chrome"]:
             from ..obs.export import chrome_trace, dump_trace
 
             trace_document = chrome_trace(
-                trace.span_events(), trace_name=f"trace {trace.trace_id}"
+                trace.spans, trace_name=f"trace {trace.trace_id}"
             )
             return Response(
                 200,

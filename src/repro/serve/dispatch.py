@@ -124,7 +124,7 @@ class Dispatcher:
                     "dispatch.queue",
                     start_s=enqueued_s,
                     duration_s=wait_s,
-                    attrs={"wait_ms": round(wait_s * 1000.0, 3)},
+                    params={"wait_ms": round(wait_s * 1000.0, 3)},
                 )
             try:
                 result = ctx.run(fn)

@@ -1,6 +1,11 @@
 """Tests for the bundled CONGEST algorithms."""
 
+import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -76,6 +81,49 @@ class TestFullGraphCollection:
         rounds = net.run_until_quiescent()
         facts = graph.num_nodes + graph.num_edges
         assert rounds <= 2 * facts + graph.num_nodes
+
+    def test_reconstructed_node_order_is_sorted(self):
+        graph = random_graph(10, 0.4, rng=random.Random(3))
+        collection = FullGraphCollection()
+        for node in graph.nodes():
+            collection._facts.add(("N", node, graph.weight(node)))
+        for u, v in graph.edges():
+            collection._facts.add(FullGraphCollection._edge_fact(u, v))
+        rebuilt = collection.reconstruct_graph()
+        assert rebuilt == graph
+        assert list(rebuilt.nodes()) == sorted(graph.nodes(), key=repr)
+
+    def test_simulation_counts_do_not_follow_the_hash_seed(self):
+        """The Theorem 5 simulation's search counts are hash-seed free.
+
+        Seeds 0 and 2 gave different ``maxis.exact.nodes_expanded``
+        totals while the collected graph was built in set order.
+        """
+        script = (
+            "import json\n"
+            "from repro import obs\n"
+            "from repro.core.suite import simulation_check_rows\n"
+            "with obs.recording() as recorder:\n"
+            "    rows = simulation_check_rows(1)\n"
+            "print(json.dumps({'rows': rows, 'counters': {\n"
+            "    name: value for name, value in recorder.counters.items()\n"
+            "    if name.startswith('maxis.')}}, sort_keys=True))\n"
+        )
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        outputs = []
+        for hash_seed in ("0", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+            completed = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=300,
+            )
+            outputs.append(json.loads(completed.stdout))
+        assert outputs[0]["counters"]["maxis.exact.nodes_expanded"] > 0
+        assert outputs[0] == outputs[1]
 
 
 class TestLubyMIS:

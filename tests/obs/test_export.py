@@ -14,6 +14,7 @@ from repro.obs.export import (
     trace_from_recorder,
     write_chrome_trace,
 )
+from tests.obs.span_sources import span_sources
 
 
 class FakeClock:
@@ -145,6 +146,12 @@ class TestDocumentsAndFiles:
         assert dump_trace(chrome_trace(recorder.spans)) == dump_trace(
             chrome_trace(recorder.spans)
         )
+        for label, records in span_sources():
+            # Records and their event dicts export to the same bytes.
+            events = [record.to_dict() for record in records]
+            assert dump_trace(chrome_trace(records)) == dump_trace(
+                chrome_trace(events)
+            ), label
 
     def test_write_chrome_trace_emits_valid_json(self, tmp_path):
         path = write_chrome_trace(tmp_path / "trace.json", _recorded().spans)

@@ -4,7 +4,8 @@ import pytest
 
 from repro import obs
 from repro.obs import InMemorySink, Recorder
-from repro.obs.recorder import NULL_SPAN
+from repro.obs.recorder import NULL_SPAN, SpanRecord
+from tests.obs.span_sources import span_sources
 
 
 class FakeClock:
@@ -130,6 +131,22 @@ class TestSpanTreeAccessors:
         event = recorder.spans[0].to_dict()
         assert "track" in event
         assert event["track"] is None
+
+    def test_from_dict_round_trips(self):
+        for label, records in span_sources():
+            for record in records:
+                event = record.to_dict()
+                again = SpanRecord.from_dict(event)
+                assert isinstance(again, SpanRecord)
+                assert again.to_dict() == event, label
+        assert any(
+            record.track == "unit/1" for record in span_sources()[0][1]
+        )
+
+    def test_from_dict_defaults_optional_keys(self):
+        record = SpanRecord.from_dict({"index": 2, "parent": 0, "name": "x"})
+        assert (record.depth, record.params, record.track) == (0, {}, None)
+        assert (record.start_s, record.duration_s) == (0.0, 0.0)
 
 
 class TestCountersAndGauges:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.obs.export import chrome_trace, dump_trace
+from repro.obs.recorder import Recorder
 from repro.obs.reqtrace import (
     RequestTrace,
     TraceBuffer,
@@ -13,7 +14,6 @@ from repro.obs.reqtrace import (
     mint_span_id,
     mint_trace_id,
     parse_traceparent,
-    trace_region,
     using_trace,
 )
 
@@ -76,6 +76,15 @@ class TestParseTraceparent:
         assert parse_traceparent(header) is not None
 
 
+def _assert_well_formed(spans):
+    """Index is position, the root is 0, parents precede their children."""
+    assert [span.index for span in spans] == list(range(len(spans)))
+    assert spans[0].name == "request" and spans[0].parent is None
+    for span in spans[1:]:
+        assert 0 <= span.parent < span.index
+        assert span.depth == spans[span.parent].depth + 1
+
+
 class TestRequestTrace:
     def test_root_span_and_finish(self):
         trace = RequestTrace(endpoint="GET /health", method="GET", path="/health")
@@ -83,7 +92,9 @@ class TestRequestTrace:
         assert trace.status == 200
         assert trace.disposition == "cache_hit"
         assert trace.spans[0].name == "request"
-        assert trace.spans[0].attrs["status"] == 200
+        assert trace.spans[0].index == 0
+        assert trace.spans[0].params["status"] == 200
+        assert len(trace.root_span_id) == 16
         assert not trace.is_error
 
     def test_finish_is_idempotent(self):
@@ -96,38 +107,49 @@ class TestRequestTrace:
     def test_child_spans_default_to_root_parent(self):
         trace = RequestTrace()
         with trace.span("store.lookup") as span:
-            span.set(outcome="miss")
+            span.params["outcome"] = "miss"
         record = trace.spans[-1]
-        assert record.parent_id == trace.root_span_id
-        assert record.attrs["outcome"] == "miss"
+        assert record.parent == 0
+        assert record.depth == 1
+        assert record.params["outcome"] == "miss"
         assert record.duration_s >= 0.0
 
     def test_explicit_parent_nesting(self):
         trace = RequestTrace()
         with trace.span("execute.maxis_solve") as outer:
-            inner_id = trace.add_span(
+            inner = trace.add_span(
                 "maxis.exact.search", start_s=0.0, duration_s=0.5,
-                parent_id=outer.span_id,
+                parent=outer.index,
             )
-        by_id = {span.span_id: span for span in trace.spans}
-        assert by_id[inner_id].parent_id == outer.span_id
+        assert trace.spans[inner].parent == outer.index
+        assert trace.spans[inner].depth == 2
+        _assert_well_formed(trace.spans)
 
-    def test_graft_recorder_spans_rebases_parents(self):
+    def test_adopt_rebases_recorder_spans(self):
+        ticks = iter(range(100))
+        recorder = Recorder(enabled=True, clock=lambda: float(next(ticks)))
+        with recorder.span("earlier"):
+            pass
+        with recorder.span("serve.gadget_graph"):
+            with recorder.span("outer", a=1):
+                with recorder.span("inner"):
+                    pass
+            with recorder.span("sibling"):
+                pass
         trace = RequestTrace()
+        trace.add_span("dispatch.queue", start_s=0.0, duration_s=0.1)
         with trace.span("execute.gadget_graph") as execute:
-            parent_id = execute.span_id
-        events = [
-            {"index": 7, "parent": None, "name": "outer", "start_s": 1.0,
-             "duration_s": 2.0, "params": {"a": 1}},
-            {"index": 8, "parent": 7, "name": "inner", "start_s": 1.5,
-             "duration_s": 0.5, "params": {}},
-        ]
-        assert trace.graft_recorder_spans(events, parent_id=parent_id) == 2
-        outer = next(s for s in trace.spans if s.name == "outer")
-        inner = next(s for s in trace.spans if s.name == "inner")
-        assert outer.parent_id == parent_id
-        assert inner.parent_id == outer.span_id
-        assert outer.attrs == {"a": 1}
+            assert trace.adopt(recorder.spans[2:], parent=execute.index) == 3
+        _assert_well_formed(trace.spans)
+        by_name = {span.name: span for span in trace.spans}
+        assert by_name["outer"].parent == execute.index
+        assert by_name["inner"].parent == by_name["outer"].index
+        assert by_name["sibling"].parent == execute.index
+        assert by_name["outer"].params == {"a": 1}
+        assert by_name["inner"].start_s == recorder.spans[3].start_s
+        # The recorder's own records keep their indices.
+        assert [r.index for r in recorder.spans] == [0, 1, 2, 3, 4]
+        assert trace.adopt([], parent=0) == 0
 
     def test_span_total_ms_matches_prefix(self):
         trace = RequestTrace()
@@ -145,6 +167,17 @@ class TestRequestTrace:
         ]
         assert trace.to_document()["links"] == trace.summary()["links"]
 
+    def test_document_spans_are_span_events(self):
+        trace = RequestTrace()
+        with trace.span("store.lookup", key="k"):
+            pass
+        trace.finish(status=200)
+        document = trace.to_document()
+        assert document["trace_schema_version"] == 2
+        assert document["spans"] == [span.to_dict() for span in trace.spans]
+        assert document["spans"][1]["parent"] == 0
+        assert document["spans"][1]["params"] == {"key": "k"}
+
     def test_is_error_classification(self):
         errored = RequestTrace()
         errored.finish(status=500, error="boom")
@@ -159,9 +192,11 @@ class TestRequestTrace:
         with trace.span("execute.maxis_solve"):
             pass
         trace.finish(status=200, disposition="computed")
-        one = dump_trace(chrome_trace(trace.span_events()))
-        two = dump_trace(chrome_trace(trace.span_events()))
+        one = dump_trace(chrome_trace(trace.spans))
+        two = dump_trace(chrome_trace(trace.spans))
         assert one == two
+        # The served document's span events export to the same bytes.
+        assert dump_trace(chrome_trace(trace.to_document()["spans"])) == one
         document = json.loads(one)
         names = [e["name"] for e in document["traceEvents"] if e["ph"] == "X"]
         assert "request" in names and "execute.maxis_solve" in names
@@ -179,18 +214,6 @@ class TestAmbientContext:
                 assert current_trace() is None
             assert current_trace() is trace
         assert current_trace() is None
-
-    def test_trace_region_is_noop_without_trace(self):
-        with trace_region("anything") as span:
-            assert span is None
-
-    def test_trace_region_records_on_ambient_trace(self):
-        trace = RequestTrace()
-        with using_trace(trace):
-            with trace_region("store.lookup", outcome="hit") as span:
-                assert span is not None
-        assert trace.spans[-1].name == "store.lookup"
-        assert trace.spans[-1].attrs["outcome"] == "hit"
 
 
 def _finished(duration_ms=1.0, status=200, error=None):

@@ -39,10 +39,11 @@ def profiled_run(tmp_path_factory):
 
 
 class TestDeepProfileFlag:
-    def test_writes_all_three_artifacts(self, profiled_run):
-        assert (profiled_run / "DEEPPROF_theorem2.json").is_file()
-        assert (profiled_run / "theorem2.folded").is_file()
-        assert (profiled_run / "theorem2.speedscope.json").is_file()
+    def test_writes_both_artifacts(self, profiled_run):
+        assert sorted(path.name for path in profiled_run.iterdir()) == [
+            "DEEPPROF_theorem2.json",
+            "theorem2.folded",
+        ]
 
     def test_document_shape(self, profiled_run):
         document = json.loads(
@@ -69,13 +70,6 @@ class TestDeepProfileFlag:
     def test_samples_reach_maxis_solver_internals(self, profiled_run):
         folded = parse_folded((profiled_run / "theorem2.folded").read_text())
         assert any("repro.maxis" in key for key in folded)
-
-    def test_speedscope_is_valid(self, profiled_run):
-        speedscope = json.loads(
-            (profiled_run / "theorem2.speedscope.json").read_text()
-        )
-        assert speedscope["profiles"][0]["type"] == "sampled"
-        assert speedscope["profiles"][0]["endValue"] > 0
 
     def test_recorder_left_disabled_afterwards(self, profiled_run):
         assert not obs.is_enabled()

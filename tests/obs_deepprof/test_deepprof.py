@@ -3,7 +3,7 @@
 Sampling itself is stochastic, so these tests drive the profiler over
 workloads long enough that "at least one sample landed" is effectively
 certain, and pin everything around the sampling — key construction,
-folded/speedscope exports, the absorb merge, the critical path — as
+the folded export, the absorb merge, the critical path — as
 exact deterministic contracts.
 """
 
@@ -15,6 +15,7 @@ import pytest
 from repro.obs import deepprof
 from repro.obs.deepprof import DeepProfiler
 from repro.obs.recorder import Recorder
+from tests.obs.span_sources import span_sources
 
 
 def _busy(seconds):
@@ -146,34 +147,6 @@ class TestFoldedExports:
 
     def test_structural_span_keys_empty_profile(self):
         assert deepprof.structural_span_keys({}) == frozenset()
-
-    def test_speedscope_document_is_deterministic(self):
-        first = deepprof.speedscope_document(self.SAMPLES)
-        second = deepprof.speedscope_document(dict(self.SAMPLES))
-        assert deepprof.dump_speedscope(first) == deepprof.dump_speedscope(
-            second
-        )
-
-    def test_speedscope_weights_and_frames(self):
-        document = deepprof.speedscope_document(self.SAMPLES, name="x")
-        profile = document["profiles"][0]
-        assert profile["type"] == "sampled"
-        assert sum(profile["weights"]) == 6
-        assert profile["endValue"] == 6
-        names = [frame["name"] for frame in document["shared"]["frames"]]
-        # First-appearance order over sorted keys.
-        assert names == ["m:h", "span:a", "m:f", "span:b", "m:g"]
-        # Every stack's indices resolve.
-        for stack in profile["samples"]:
-            assert all(0 <= index < len(names) for index in stack)
-
-    def test_dump_speedscope_parses_back(self):
-        text = deepprof.dump_speedscope(
-            deepprof.speedscope_document(self.SAMPLES)
-        )
-        assert text.endswith("\n")
-        assert json.loads(text)["profiles"]
-
 
 class TestAbsorb:
     def _worker_state(self, samples, total=None, memory=None):
@@ -340,6 +313,10 @@ class TestCriticalPath:
                 pass
         rows = deepprof.critical_path(recorder.spans)
         assert [row["name"] for row in rows] == ["outer", "inner"]
+        for label, records in span_sources():
+            events = [record.to_dict() for record in records]
+            rows = deepprof.critical_path(records)
+            assert rows and rows == deepprof.critical_path(events), label
 
     def test_render_mentions_every_hop(self):
         table = deepprof.render_critical_path(self.SPANS)
@@ -365,8 +342,7 @@ class TestArtifacts:
         from repro.obs.flame import parse_folded
 
         assert parse_folded(paths["folded"].read_text()) == profiler.samples
-        speedscope = json.loads(paths["speedscope"].read_text())
-        assert speedscope["profiles"][0]["endValue"] == 4
+        assert set(paths) == {"document", "folded"}
 
     def test_artifacts_are_byte_deterministic(self, tmp_path):
         profiler = DeepProfiler()

@@ -9,6 +9,7 @@ from repro.obs.flame import (
     parse_folded,
 )
 from repro.obs.recorder import Recorder
+from tests.obs.span_sources import span_sources
 
 
 class TestParseFolded:
@@ -69,6 +70,10 @@ class TestFoldedFromSpans:
                 pass
         samples = folded_from_spans(recorder.spans)
         assert all(key.startswith("outer") for key in samples)
+        for label, records in span_sources():
+            events = [record.to_dict() for record in records]
+            assert folded_from_spans(records) == folded_from_spans(events), label
+            assert folded_from_spans(records), label
 
     def test_empty(self):
         assert folded_from_spans([]) == {}

@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro import obs, store
+from repro.obs.export import chrome_trace, dump_trace
 from repro.parallel import jobs
 from repro.parallel.jobs import execute_unit
 from repro.graphs.serialize import graph_to_dict
@@ -24,6 +25,15 @@ GADGET_BODY = {"construction": "linear", "params": {"ell": 2, "alpha": 1, "t": 3
 CLIENT_TRACE_ID = "ab" * 16
 CLIENT_SPAN_ID = "cd" * 8
 CLIENT_TRACEPARENT = f"00-{CLIENT_TRACE_ID}-{CLIENT_SPAN_ID}-01"
+
+
+def _assert_well_formed(spans):
+    """Index is position, the root is 0, every parent is an earlier span."""
+    assert [span["index"] for span in spans] == list(range(len(spans)))
+    assert spans[0]["name"] == "request" and spans[0]["parent"] is None
+    for span in spans[1:]:
+        assert 0 <= span["parent"] < span["index"]
+        assert span["depth"] == spans[span["parent"]]["depth"] + 1
 
 
 def _maxis_body(mode="greedy"):
@@ -106,12 +116,11 @@ class TestTraceTree:
         assert "store.lookup" in names
         assert "execute.maxis_solve" in names
         assert "store.write" in names
-        # Tree is well-formed: every non-root parent exists.
-        ids = {span["span_id"] for span in tree["spans"]}
-        for span in tree["spans"][1:]:
-            assert span["parent_id"] in ids
+        assert tree["trace_schema_version"] == 2
+        assert len(tree["root_span_id"]) == 16
+        _assert_well_formed(tree["spans"])
         lookup = next(s for s in tree["spans"] if s["name"] == "store.lookup")
-        assert lookup["attrs"]["outcome"] == "miss"
+        assert lookup["params"]["outcome"] == "miss"
 
     def test_cache_hit_trace_shape(self, served):
         with store.using_store("memory"):
@@ -121,7 +130,7 @@ class TestTraceTree:
             _, tree = served.get_json(f"/v1/traces/{trace_id}")
         assert tree["disposition"] == "cache_hit"
         lookup = next(s for s in tree["spans"] if s["name"] == "store.lookup")
-        assert lookup["attrs"]["outcome"] == "hit"
+        assert lookup["params"]["outcome"] == "hit"
         names = [span["name"] for span in tree["spans"]]
         assert "execute.gadget_graph" not in names
 
@@ -130,7 +139,7 @@ class TestTraceTree:
         trace_id = headers["traceparent"].split("-")[1]
         _, tree = served.get_json(f"/v1/traces/{trace_id}")
         lookup = next(s for s in tree["spans"] if s["name"] == "store.lookup")
-        assert lookup["attrs"]["outcome"] == "off"
+        assert lookup["params"]["outcome"] == "off"
 
     def test_recorder_spans_graft_into_trace_and_trim(self, served):
         recorder = obs.get_recorder()
@@ -144,17 +153,18 @@ class TestTraceTree:
             execute = next(
                 s for s in tree["spans"] if s["name"] == "execute.maxis_solve"
             )
-            grafted = [
+            _assert_well_formed(tree["spans"])
+            rebased = [
                 s for s in tree["spans"] if s["name"].startswith("maxis.")
             ]
-            by_id = {s["span_id"]: s for s in tree["spans"]}
-            for span in grafted:
+            for span in rebased:
                 parent = span
-                while parent["parent_id"] is not None:
-                    parent = by_id[parent["parent_id"]]
-                    if parent["span_id"] == execute["span_id"]:
+                while parent["parent"] is not None:
+                    parent = tree["spans"][parent["parent"]]
+                    if parent["index"] == execute["index"]:
                         break
-                assert parent["span_id"] == execute["span_id"]
+                assert parent["index"] == execute["index"]
+            assert execute["params"]["recorder_spans"] >= len(rebased)
             # Captured spans were trimmed from the process recorder.
             assert not any(
                 record.name.startswith("serve.maxis_solve")
@@ -189,6 +199,22 @@ class TestChromeExport:
         complete = [e for e in document["traceEvents"] if e["ph"] == "X"]
         assert complete[0]["name"] == "request"
         assert all("ts" in e and "dur" in e for e in complete)
+        # The export is chrome_trace over the served span events.
+        _, tree = served.get_json(f"/v1/traces/{trace_id}")
+        assert first.decode() == dump_trace(
+            chrome_trace(tree["spans"], trace_name=f"trace {trace_id}")
+        )
+
+    @pytest.mark.parametrize(
+        "query", ["", "?format=chromex", "?format=json", "?x=format=chrome"]
+    )
+    def test_only_format_chrome_selects_the_export(self, served, query):
+        _, _, headers = served.post("/v1/gadgets", GADGET_BODY)
+        trace_id = headers["traceparent"].split("-")[1]
+        status, document = served.get_json(f"/v1/traces/{trace_id}{query}")
+        assert status == 200
+        assert "traceEvents" not in document
+        assert document["trace_id"] == trace_id
 
 
 class TestCoalescedLinks:
@@ -234,16 +260,18 @@ class TestCoalescedLinks:
                 for future in follower_futures:
                     future.result()
         leader_trace_id = "11" * 16
+        status, leader_tree = served.get_json(f"/v1/traces/{leader_trace_id}")
+        assert status == 200
+        assert leader_tree["disposition"] == "computed"
         for tp in follower_tps:
             follower_trace_id = tp.split("-")[1]
             status, tree = served.get_json(f"/v1/traces/{follower_trace_id}")
             assert status == 200
             assert tree["disposition"] == "coalesced"
+            # The link names the leader's root span.
             assert {
                 "trace_id": leader_trace_id,
-                "span_id": next(
-                    link["span_id"] for link in tree["links"]
-                ),
+                "span_id": leader_tree["root_span_id"],
                 "relation": "coalesced_with",
             } in tree["links"]
             names = [span["name"] for span in tree["spans"]]
@@ -251,9 +279,6 @@ class TestCoalescedLinks:
             # Followers never touch the dispatcher queue or the store.
             assert "dispatch.queue" not in names
             assert "store.lookup" not in names
-        status, leader_tree = served.get_json(f"/v1/traces/{leader_trace_id}")
-        assert status == 200
-        assert leader_tree["disposition"] == "computed"
 
 
 class TestTailSampling:
