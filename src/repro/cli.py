@@ -668,8 +668,8 @@ def _run_theorem5_pair(seed: int):
         report = simulate_congest_via_players(
             family,
             inputs,
-            lambda: FullGraphCollection(
-                evaluate=lambda graph: max_independent_set_weight(graph) <= low
+            FullGraphCollection.factory(
+                lambda graph: max_independent_set_weight(graph) <= low
             ),
         )
         yield ("intersecting" if intersecting else "disjoint"), report

@@ -16,7 +16,7 @@ round counts reported here exclude that additive term.
 
 from __future__ import annotations
 
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from collections import deque
 
 from ...graphs import WeightedGraph
@@ -42,44 +42,74 @@ class FullGraphCollection(NodeAlgorithm):
         self, evaluate: Optional[Callable[[WeightedGraph], object]] = None
     ) -> None:
         self._evaluate = evaluate or (lambda graph: graph)
+        # Outputs by fact set, shared by the nodes of one factory().
+        self._memo: Optional[Dict[FrozenSet[Fact], object]] = None
         self._facts: Set[Fact] = set()
-        self._pending: Dict[NodeId, Deque[Fact]] = {}
+        # One queue per neighbor, aligned with ctx.neighbors.
+        self._pending: List[Deque[Fact]] = []
+
+    @classmethod
+    def factory(
+        cls, evaluate: Optional[Callable[[WeightedGraph], object]] = None
+    ) -> Callable[[], "FullGraphCollection"]:
+        """A node factory whose nodes evaluate each distinct fact set once.
+
+        Every node of a connected network collects the same facts, so a
+        run evaluates once instead of once per node.  Nodes with equal
+        fact sets share one output object, so ``evaluate`` must be a
+        pure function of the graph; build nodes one by one
+        (``lambda: FullGraphCollection(evaluate)``) to evaluate at
+        every node.
+        """
+        memo: Dict[FrozenSet[Fact], object] = {}
+
+        def build() -> "FullGraphCollection":
+            node = cls(evaluate)
+            node._memo = memo
+            return node
+
+        return build
 
     def initialize(self, ctx: NodeContext) -> None:
         self._facts.add(("N", ctx.node_id, ctx.weight))
         for neighbor in ctx.neighbors:
             edge = self._edge_fact(ctx.node_id, neighbor)
             self._facts.add(edge)
-        self._pending = {
-            neighbor: deque(sorted(self._facts, key=repr))
-            for neighbor in ctx.neighbors
-        }
+        known = sorted(self._facts, key=repr)
+        self._pending = [deque(known) for _ in ctx.neighbors]
         self._flush(ctx)
 
     def on_round(self, ctx: NodeContext, inbox: Sequence[Message]) -> None:
+        facts = self._facts
         for message in inbox:
             fact = tuple(message.payload)
-            if fact not in self._facts:
-                self._facts.add(fact)
-                for neighbor in ctx.neighbors:
-                    if neighbor != message.sender:
-                        self._pending[neighbor].append(fact)
+            known = len(facts)
+            facts.add(fact)
+            if len(facts) > known:
+                sender = message.sender
+                for neighbor, queue in zip(ctx.neighbors, self._pending):
+                    if neighbor != sender:
+                        queue.append(fact)
         self._flush(ctx)
 
     def _flush(self, ctx: NodeContext) -> None:
         """Send one queued fact per neighbor (one O(log n) token per edge)."""
-        for neighbor in ctx.neighbors:
-            queue = self._pending[neighbor]
+        # A fact is two ids (or an id and a weight) plus a tag:
+        # O(log n) bits.  Charged as such.
+        bits = self._fact_bits(ctx)
+        for neighbor, queue in zip(ctx.neighbors, self._pending):
             if queue:
-                fact = queue.popleft()
-                # A fact is two ids (or an id and a weight) plus a tag:
-                # O(log n) bits.  Charged as such.
-                ctx.send(neighbor, fact, size_bits=self._fact_bits(ctx))
+                ctx.send(neighbor, queue.popleft(), size_bits=bits)
         # Never halt voluntarily; quiescence + finalize ends the run.
 
     def finalize(self, ctx: NodeContext) -> None:
-        graph = self.reconstruct_graph()
-        ctx.halt(self._evaluate(graph))
+        if self._memo is None:
+            ctx.halt(self._evaluate(self.reconstruct_graph()))
+            return
+        key = frozenset(self._facts)
+        if key not in self._memo:
+            self._memo[key] = self._evaluate(self.reconstruct_graph())
+        ctx.halt(self._memo[key])
 
     def reconstruct_graph(self) -> WeightedGraph:
         """Build the collected graph from the fact set.

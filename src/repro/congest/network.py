@@ -14,14 +14,18 @@ The simulator enforces the model:
   received messages.
 
 Bit and message counts are recorded per edge, which is what the
-Theorem 5 simulation argument charges to the blackboard.
+Theorem 5 simulation argument charges to the blackboard.  Every
+directed edge gets an integer id when the network is built, so a send
+checks adjacency and finds its edge's round budget with one lookup of
+the receiver id.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..graphs import WeightedGraph
 from ..obs import get_recorder
@@ -57,6 +61,7 @@ class NodeContext:
         neighbors: Tuple[NodeId, ...],
         network: "CongestNetwork",
         rng: random.Random,
+        edge_ids: Dict[NodeId, int],
     ) -> None:
         self.node_id = node_id
         self.weight = weight
@@ -65,6 +70,8 @@ class NodeContext:
         self.output: object = None
         self.halted = False
         self._network = network
+        # neighbor -> id of the directed edge (node_id, neighbor)
+        self._edge_ids = edge_ids
         self._in_broadcast = False
         self.round_number = 0
 
@@ -83,19 +90,41 @@ class NodeContext:
         return self._network.id_bits
 
     def send(self, neighbor: NodeId, payload: object, size_bits: Optional[int] = None) -> None:
-        """Queue a message to ``neighbor`` for delivery next round."""
+        """Queue a message to ``neighbor`` for delivery next round.
+
+        Raises if the node has halted, if the model is broadcast-only,
+        if ``neighbor`` is not adjacent, or if the message would exceed
+        the per-message or this round's per-edge bandwidth.
+        """
+        network = self._network
         if self.halted:
             raise RuntimeError(f"halted node {self.node_id!r} cannot send")
-        if self._network.broadcast_only and not self._in_broadcast:
+        if network.broadcast_only and not self._in_broadcast:
             raise BroadcastOnlyViolationError(
                 f"node {self.node_id!r} sent a point-to-point message in the "
                 "CONGEST-Broadcast model; use ctx.broadcast"
             )
-        if neighbor not in self._neighbor_set():
+        edge = self._edge_ids.get(neighbor)
+        if edge is None:
             raise ValueError(f"{neighbor!r} is not a neighbor of {self.node_id!r}")
         if size_bits is None:
-            size_bits = payload_size_bits(payload, self.id_bits)
-        self._network._enqueue(Message(self.node_id, neighbor, payload, size_bits))
+            size_bits = payload_size_bits(payload, network.id_bits)
+        message = Message(self.node_id, neighbor, payload, size_bits)
+        bandwidth = network.bandwidth_bits
+        if size_bits > bandwidth:
+            raise BandwidthExceededError(
+                f"message of {size_bits} bits exceeds the per-message "
+                f"bandwidth of {bandwidth} bits"
+            )
+        edge_round_bits = network._edge_round_bits
+        used = edge_round_bits.get(edge, 0) + size_bits
+        if used > bandwidth:
+            raise BandwidthExceededError(
+                f"edge {(self.node_id, neighbor)!r} oversubscribed this round: "
+                f"{used} > {bandwidth} bits"
+            )
+        edge_round_bits[edge] = used
+        network._outgoing.append(message)
 
     def broadcast(self, payload: object, size_bits: Optional[int] = None) -> None:
         """Send the same payload to every neighbor.
@@ -113,9 +142,6 @@ class NodeContext:
         """Stop participating; record the node's output."""
         self.output = output
         self.halted = True
-
-    def _neighbor_set(self) -> Set[NodeId]:
-        return self._network._neighbor_sets[self.node_id]
 
 
 class NodeAlgorithm:
@@ -196,24 +222,24 @@ class CongestNetwork:
         self.num_nodes = graph.num_nodes
         self.id_bits = max(1, math.ceil(math.log2(self.num_nodes))) if self.num_nodes > 1 else 1
         self.bandwidth_bits = bandwidth_multiplier * self.id_bits
-        self._neighbor_sets: Dict[NodeId, Set[NodeId]] = {
-            node: graph.neighbors(node) for node in graph.nodes()
-        }
+        edge_ids = itertools.count()
         master = random.Random(seed)
         self.contexts: Dict[NodeId, NodeContext] = {}
         self.algorithms: Dict[NodeId, NodeAlgorithm] = {}
         for node in graph.nodes():
             rng = random.Random(master.getrandbits(64))
+            neighbors = tuple(sorted(graph.neighbors(node), key=repr))
             self.contexts[node] = NodeContext(
                 node_id=node,
                 weight=graph.weight(node),
-                neighbors=tuple(sorted(self._neighbor_sets[node], key=repr)),
+                neighbors=neighbors,
                 network=self,
                 rng=rng,
+                edge_ids=dict(zip(neighbors, edge_ids)),
             )
             self.algorithms[node] = algorithm_factory()
         self._outgoing: List[Message] = []
-        self._edge_round_bits: Dict[Tuple[NodeId, NodeId], int] = {}
+        self._edge_round_bits: Dict[int, int] = {}
         self._crashed: Set[NodeId] = set()
         self._crash_schedule: Dict[int, List[NodeId]] = {}
         self.rounds_executed = 0
@@ -226,26 +252,6 @@ class CongestNetwork:
         if _obs.enabled:
             _obs.incr("congest.networks_built")
             _obs.gauge("congest.last_network_nodes", self.num_nodes)
-
-    # ------------------------------------------------------------------
-    # Internal send path
-    # ------------------------------------------------------------------
-
-    def _enqueue(self, message: Message) -> None:
-        if message.size_bits > self.bandwidth_bits:
-            raise BandwidthExceededError(
-                f"message of {message.size_bits} bits exceeds the per-message "
-                f"bandwidth of {self.bandwidth_bits} bits"
-            )
-        key = (message.sender, message.receiver)
-        used = self._edge_round_bits.get(key, 0) + message.size_bits
-        if used > self.bandwidth_bits:
-            raise BandwidthExceededError(
-                f"edge {key!r} oversubscribed this round: {used} > "
-                f"{self.bandwidth_bits} bits"
-            )
-        self._edge_round_bits[key] = used
-        self._outgoing.append(message)
 
     # ------------------------------------------------------------------
     # Round execution
@@ -301,22 +307,25 @@ class CongestNetwork:
         self._outgoing = []
         self._edge_round_bits = {}
         self.rounds_executed += 1
+        round_number = self.rounds_executed
         inboxes: Dict[NodeId, List[Message]] = {node: [] for node in self.contexts}
+        crashed = self._crashed
+        log = self.message_log if self.message_log_enabled else None
         round_bits = 0
         for message in in_flight:
-            if message.receiver in self._crashed:
+            if crashed and message.receiver in crashed:
                 continue  # dropped on the floor
             inboxes[message.receiver].append(message)
             round_bits += message.size_bits
-            if self.message_log_enabled:
-                self.message_log.append((self.rounds_executed, message))
+            if log is not None:
+                log.append((round_number, message))
         self.total_messages += len(in_flight)
         self.total_bits += round_bits
         for node, algorithm in self.algorithms.items():
             ctx = self.contexts[node]
             if ctx.halted:
                 continue
-            ctx.round_number = self.rounds_executed
+            ctx.round_number = round_number
             algorithm.on_round(ctx, inboxes[node])
         stats = RoundStats(self.rounds_executed, len(in_flight), round_bits)
         self.round_stats.append(stats)
@@ -334,7 +343,7 @@ class CongestNetwork:
                     "congest.edge_utilization", used / self.bandwidth_bits
                 )
             for message in in_flight:
-                if message.receiver not in self._crashed:
+                if message.receiver not in crashed:
                     _obs.incr_keyed(
                         "congest.edge_bits",
                         f"{message.sender!r}->{message.receiver!r}",

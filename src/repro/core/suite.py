@@ -166,8 +166,8 @@ def simulation_check_rows(seed: int = 0) -> List[List]:
         report = simulate_congest_via_players(
             family,
             inputs,
-            lambda: FullGraphCollection(
-                evaluate=lambda graph: max_independent_set_weight(graph) <= low
+            FullGraphCollection.factory(
+                lambda graph: max_independent_set_weight(graph) <= low
             ),
         )
         rows.append(

@@ -151,8 +151,6 @@ class ProcessPoolBackend:
         monitor: Optional[Any] = None,
     ) -> List[Any]:
         """Execute units on the pool; fall back to serial if it won't start."""
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-
         record_obs = obs.is_enabled()
         payloads: List[jobs.Payload] = [
             (index, unit.kind, dict(unit.kwargs), record_obs)
@@ -166,36 +164,46 @@ class ProcessPoolBackend:
             return self._run_live(
                 units, chunks, record_obs, monitor, results, snapshots
             )
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=min(self.workers, len(chunks)),
-                mp_context=self._mp_context,
-                initializer=jobs.init_worker,
-                initargs=(
-                    None,
-                    0.0,
-                    deepprof.ambient_config(),
-                    kernel_default_enabled(),
-                ),
-            )
-        except (OSError, ImportError, ValueError) as error:
+        # Pause from before the pool's import and start-up through the
+        # snapshot merge: parent-side plumbing a serial run never has.
+        # The pause outlives the pool CM, so the shutdown join is
+        # covered too (sampling it would leak Executor.__exit__ frames).
+        with _parent_sampler_paused():
+            try:
+                from concurrent.futures import ProcessPoolExecutor, as_completed
+
+                pool = ProcessPoolExecutor(
+                    max_workers=min(self.workers, len(chunks)),
+                    mp_context=self._mp_context,
+                    initializer=jobs.init_worker,
+                    initargs=(
+                        None,
+                        0.0,
+                        deepprof.ambient_config(),
+                        kernel_default_enabled(),
+                    ),
+                )
+            except (OSError, ImportError, ValueError) as error:
+                unavailable: Optional[BaseException] = error
+            else:
+                unavailable = None
+                with pool:
+                    futures = [
+                        pool.submit(jobs.execute_chunk, chunk) for chunk in chunks
+                    ]
+                    for future in as_completed(futures):
+                        for unit_index, result, snapshot in future.result():
+                            results[unit_index] = result
+                            if snapshot is not None:
+                                snapshots[unit_index] = snapshot
+                self._merge_snapshots(units, snapshots, record_obs)
+        if unavailable is not None:
             print(
-                f"repro.parallel: process pool unavailable ({error}); "
+                f"repro.parallel: process pool unavailable ({unavailable}); "
                 "running serially",
                 file=sys.stderr,
             )
             return SerialBackend().run(units)
-        # Pause outside the pool CM: contexts unwind inner-first, so the
-        # pool's shutdown join is still covered by the pause (sampling
-        # it would leak Executor.__exit__ frames into the profile).
-        with _parent_sampler_paused(), pool:
-            futures = [pool.submit(jobs.execute_chunk, chunk) for chunk in chunks]
-            for future in as_completed(futures):
-                for unit_index, result, snapshot in future.result():
-                    results[unit_index] = result
-                    if snapshot is not None:
-                        snapshots[unit_index] = snapshot
-        self._merge_snapshots(units, snapshots, record_obs)
         return [results[index] for index in range(len(units))]
 
     def _merge_snapshots(
@@ -438,7 +446,9 @@ def resolve_backend(workers: Optional[int]) -> Any:
     """
     if not workers or workers <= 1:
         return SerialBackend()
-    context = _multiprocessing_context()
+    # The multiprocessing import is pool set-up, like the pool's own.
+    with _parent_sampler_paused():
+        context = _multiprocessing_context()
     if context is None:
         print(
             "repro.parallel: multiprocessing unavailable on this platform; "

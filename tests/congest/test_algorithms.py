@@ -82,6 +82,33 @@ class TestFullGraphCollection:
         facts = graph.num_nodes + graph.num_edges
         assert rounds <= 2 * facts + graph.num_nodes
 
+    def test_factory_evaluates_once_per_distinct_fact_set(self):
+        # Two components: each collects its own graph.
+        graph = WeightedGraph(edges=[("a", "b"), ("b", "c"), ("x", "y")])
+        calls = []
+
+        def evaluate(collected):
+            calls.append(collected.node_set())
+            return collected.num_nodes
+
+        net = CongestNetwork(
+            graph, FullGraphCollection.factory(evaluate), bandwidth_multiplier=3
+        )
+        net.run_until_quiescent()
+        assert sorted(map(sorted, calls)) == [["a", "b", "c"], ["x", "y"]]
+        assert net.outputs() == {"a": 3, "b": 3, "c": 3, "x": 2, "y": 2}
+
+    def test_plain_construction_evaluates_at_every_node(self):
+        graph = path_graph(["a", "b", "c"])
+        calls = []
+        net = CongestNetwork(
+            graph,
+            lambda: FullGraphCollection(evaluate=calls.append),
+            bandwidth_multiplier=3,
+        )
+        net.run_until_quiescent()
+        assert len(calls) == 3
+
     def test_reconstructed_node_order_is_sorted(self):
         graph = random_graph(10, 0.4, rng=random.Random(3))
         collection = FullGraphCollection()

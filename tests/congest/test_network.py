@@ -164,6 +164,26 @@ class TestSendRules:
         assert len(set(received.values())) == 2
 
 
+    def test_one_budget_per_edge_direction(self):
+        """Each edge direction has its own budget; the error names the edge."""
+        sender, first, second = ("v", 0), ("v", 1), ("v", 2)
+
+        class Fanout(NodeAlgorithm):
+            def initialize(self, ctx):
+                if ctx.node_id == sender:
+                    ctx.send(first, 0, size_bits=ctx.id_bits)
+                    ctx.send(second, 0, size_bits=ctx.id_bits)  # accepted
+                    ctx.send(first, 0, size_bits=1)  # over budget
+
+            def on_round(self, ctx, inbox):
+                ctx.halt()
+
+        graph = WeightedGraph(edges=[(sender, first), (sender, second)])
+        with pytest.raises(BandwidthExceededError) as raised:
+            CongestNetwork(graph, Fanout).run()
+        assert repr((sender, first)) in str(raised.value)
+
+
 class TestAccounting:
     def test_bits_and_messages_counted(self):
         class SendOne(NodeAlgorithm):
@@ -209,6 +229,55 @@ class TestAccounting:
         net = CongestNetwork(clique(["a", "b"]), Passive)
         net.run_until_quiescent()
         assert set(net.outputs().values()) == {"finalized"}
+
+
+class TestEdgeTelemetry:
+    """Per-edge bandwidth telemetry is keyed by the ``(sender, receiver)`` pair."""
+
+    def test_mixed_utilization(self):
+        from repro import obs
+
+        class Uneven(NodeAlgorithm):
+            def initialize(self, ctx):
+                for i, neighbor in enumerate(ctx.neighbors):
+                    ctx.send(neighbor, 0, size_bits=1 + i)
+                ctx.send(ctx.neighbors[0], 0, size_bits=2)
+
+            def on_round(self, ctx, inbox):
+                ctx.halt()
+
+        with obs.recording() as recorder:
+            CongestNetwork(path_graph(["a", "b", "c"]), Uneven, bandwidth_multiplier=2).run()
+        utilization = recorder.histograms["congest.edge_utilization"]
+        assert (utilization.count, utilization.sum) == (4, 2.75)
+        assert (utilization.min, utilization.max) == (0.5, 0.75)
+        assert recorder.keyed_counters["congest.edge_bits"] == {
+            "'a'->'b'": 3,
+            "'b'->'a'": 3,
+            "'b'->'c'": 2,
+            "'c'->'b'": 3,
+        }
+
+    def test_collection_on_a_cycle(self):
+        from repro import obs
+        from repro.congest import FullGraphCollection
+        from repro.graphs import cycle_graph
+
+        graph = cycle_graph([("v", i) for i in range(5)])
+        with obs.recording() as recorder:
+            CongestNetwork(graph, FullGraphCollection, bandwidth_multiplier=3).run_until_quiescent()
+        utilization = recorder.histograms["congest.edge_utilization"]
+        assert utilization.count == 65
+        assert utilization.min == utilization.max == 8 / 9
+        assert utilization.sum == pytest.approx(65 * 8 / 9)
+        # Each node sends 8 facts of 6 bits to its first neighbour in
+        # repr order and 7 to its second.
+        edge_bits = {}
+        for i in range(5):
+            first, second = sorted([("v", (i + 1) % 5), ("v", (i - 1) % 5)], key=repr)
+            edge_bits[f"{('v', i)!r}->{first!r}"] = 48
+            edge_bits[f"{('v', i)!r}->{second!r}"] = 56
+        assert recorder.keyed_counters["congest.edge_bits"] == edge_bits
 
 
 class TestPayloadSizing:
