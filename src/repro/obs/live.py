@@ -50,13 +50,14 @@ mask a stall.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import pathlib
 import sys
 import threading
 import time
 from typing import Any, Dict, Iterator, List, Optional, TextIO, Union
+
+from .sinks import JsonlAppender
 
 #: Version of the ``live.jsonl`` event schema.  Bump when the event
 #: shape changes.
@@ -77,35 +78,6 @@ DEFAULT_WATCHDOG_DEADLINE_S = 30.0
 #: adaptive-dispatch literature recommends over plain means (which
 #: "bounce" on the last stragglers of a phase).
 _EMA_ALPHA = 0.3
-
-
-class _LiveJsonlWriter:
-    """Append-only JSONL writer for the live event stream.
-
-    Unlike :class:`repro.obs.sinks.JsonlSink` this opens in append
-    mode (an interrupted run's events survive a retry into the same
-    file) and serializes writes under a lock — the ticker thread, the
-    queue drainer, and the backend thread all emit events.
-    """
-
-    def __init__(self, path: Union[str, pathlib.Path]) -> None:
-        self.path = pathlib.Path(path)
-        if self.path.parent != pathlib.Path("."):
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = open(self.path, "a", encoding="utf-8")
-        self._lock = threading.Lock()
-
-    def write(self, event: Dict[str, Any]) -> None:
-        line = json.dumps(event, sort_keys=True, default=str)
-        with self._lock:
-            if not self._handle.closed:
-                self._handle.write(line + "\n")
-                self._handle.flush()
-
-    def close(self) -> None:
-        with self._lock:
-            if not self._handle.closed:
-                self._handle.close()
 
 
 class LiveMonitor:
@@ -141,7 +113,7 @@ class LiveMonitor:
         self._stream = stream if stream is not None else sys.stderr
         self._lock = threading.Lock()
         self._start_s = clock()
-        self._writer = _LiveJsonlWriter(jsonl_path) if jsonl_path else None
+        self._writer = JsonlAppender(jsonl_path) if jsonl_path else None
         # Progress state.
         self.units_total = 0
         self.units_done = 0

@@ -4,7 +4,9 @@ A sink receives every completed span as it closes (``on_span``) and the
 counter/gauge totals at flush time (``on_flush``).  Two implementations
 ship with the subsystem: an in-memory event list (tests, programmatic
 consumers) and a JSONL file writer whose output ``python -m repro
-stats`` replays into summary tables.
+stats`` replays into summary tables.  :class:`JsonlAppender` is the
+append-only, thread-safe JSONL writer behind the live event stream and
+the serve access log.
 
 JSONL event schema (one JSON object per line; see
 ``docs/OBSERVABILITY.md``):
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import threading
 from typing import Any, Dict, List, Union
 
 from .recorder import Recorder, SCHEMA_VERSION, SpanRecord
@@ -98,3 +101,42 @@ class JsonlSink(Sink):
         """Flush buffers and close the file handle."""
         if not self._handle.closed:
             self._handle.close()
+
+
+class JsonlAppender:
+    """Append-only JSONL writer: one locked, flushed line per document.
+
+    Unlike :class:`JsonlSink` this opens in append mode (an interrupted
+    run's lines survive a retry into the same file) and serializes
+    writes under a lock, so several threads can share one file.  Every
+    line is flushed as it is written: a log that loses its tail on a
+    crash is useless exactly when it matters.  Writes after
+    :meth:`close` are dropped.  The live event stream (``--live-out``)
+    and the serve access log (``--access-log``) both write through it.
+    """
+
+    def __init__(self, path: Union[str, pathlib.Path]) -> None:
+        self.path = pathlib.Path(path)
+        if self.path.parent != pathlib.Path("."):
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._handle = open(self.path, "a", encoding="utf-8")
+        self._lock = threading.Lock()
+
+    def write(self, document: Dict[str, Any]) -> None:
+        line = json.dumps(document, sort_keys=True, default=str)
+        with self._lock:
+            if not self._handle.closed:
+                self._handle.write(line + "\n")
+                self._handle.flush()
+
+    def close(self) -> None:
+        with self._lock:
+            if not self._handle.closed:
+                self._handle.close()
+
+    def __enter__(self) -> "JsonlAppender":
+        return self
+
+    def __exit__(self, exc_type: object, exc: object, tb: object) -> bool:
+        self.close()
+        return False

@@ -9,8 +9,9 @@ Two backends exist:
 :class:`SerialBackend`
     Runs every unit inline in the calling process, directly under the
     parent's recorder when observability is on.  This is the reference
-    semantics — ``--workers 1`` and every platform where a process pool
-    cannot be created resolve here.
+    semantics — ``--workers 1``, every platform where a process pool
+    cannot be created, and the requeue of a failed pool run resolve
+    here.
 
 :class:`ProcessPoolBackend`
     Fans chunks of units out to a ``ProcessPoolExecutor``.  The
@@ -24,20 +25,26 @@ chunk size aims at ~4 chunks per worker so stragglers even out while
 per-chunk overhead stays amortized; pass ``chunk_size=1`` for maximal
 load balancing of coarse units.
 
-Live telemetry (``docs/OBSERVABILITY.md``, "Live monitoring"): both
-backends accept an optional :class:`~repro.obs.live.LiveMonitor`.
-The serial backend reports unit lifecycle inline; the process backend
-additionally opens a multiprocessing queue, initializes every worker
-with a heartbeat thread (:func:`repro.parallel.jobs.init_live_channel`),
-drains worker events on a parent-side thread, and **arms the stall
-watchdog**: a worker whose heartbeat lapses past the monitor's
-deadline has its in-flight units flagged, and — with requeue enabled —
-every unresolved unit is re-executed on the serial fallback in the
-parent, the wedged workers are killed, and the pool is abandoned, so
-one stuck process degrades the sweep to serial instead of hanging it.
-Requeued results are byte-identical to worker results because every
-job kind is a pure function of its payload.  The watchdog is never
-armed on the serial path.
+The process backend has one dispatch loop, a ``wait(FIRST_COMPLETED)``
+loop over the chunk futures, and one cleanup that runs on every exit
+(success, a unit raising, a broken pool, a requeue): it disarms the
+watchdog, shuts the pool down, stops the telemetry drainer and closes
+its queue.  A live monitor (:class:`~repro.obs.live.LiveMonitor`,
+``docs/OBSERVABILITY.md`` "Live monitoring") is an optional consumer
+of that loop: it adds a heartbeat queue that every worker is
+initialized with (:func:`repro.parallel.jobs.init_live_channel`), a
+parent thread that drains worker events into the monitor, and a
+**stall watchdog** polled between completions.  The serial backend
+reports the same unit lifecycle inline and never arms the watchdog.
+
+Failure handling (``docs/PARALLEL.md``, "Failure handling"): a unit
+that raises re-raises in the caller; a worker that dies raises
+``BrokenProcessPool``; a stalled worker is reported and waited for.
+With requeue enabled (``--watchdog-requeue``) the last two instead
+kill the stalled workers, drop the pool, and run every unresolved unit
+through :meth:`SerialBackend.run` in the parent.  Requeued results are
+byte-identical to worker results because every job kind is a pure
+function of its payload.
 """
 
 from __future__ import annotations
@@ -48,14 +55,15 @@ import signal
 import sys
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import AbstractSet, Any, Dict, List, Optional, Sequence, Set
 
 from .. import obs
 from ..maxis.kernel import kernel_default_enabled
 from ..obs import deepprof
+from ..obs.live import serial_worker_id
 from . import jobs
 
-#: Seconds the live dispatch loop waits per ``wait()`` round before
+#: Seconds a monitored dispatch loop waits per ``wait()`` round before
 #: re-polling the watchdog.
 _LIVE_POLL_S = 0.1
 
@@ -109,22 +117,59 @@ class SerialBackend:
         of backend.  The watchdog is never armed here: the lane doing
         the work is the lane that would poll it.
         """
+        worker = serial_worker_id()
         results: List[Any] = []
         for unit in units:
             if monitor is not None:
-                from ..obs.live import serial_worker_id
-
-                worker = serial_worker_id()
                 monitor.unit_started(unit.uid, worker)
-                started_s = time.perf_counter()
-                result = jobs.execute_unit(unit.kind, unit.kwargs)
+            started_s = time.perf_counter()
+            results.append(jobs.execute_unit(unit.kind, unit.kwargs))
+            if monitor is not None:
                 monitor.unit_finished(
                     unit.uid, worker, time.perf_counter() - started_s
                 )
-            else:
-                result = jobs.execute_unit(unit.kind, unit.kwargs)
-            results.append(result)
         return results
+
+
+class _RequeueReport:
+    """The monitor as the requeue lane reports to it.
+
+    A requeued unit reports only its finish, with ``requeued=True``.  A
+    unit whose ``unit_done`` a worker already sent (its chunk future
+    never completed) is recomputed for its result but not counted again.
+    """
+
+    def __init__(self, monitor: Any, counted: AbstractSet[str]) -> None:
+        self._monitor = monitor
+        self._counted = counted
+
+    def unit_started(self, uid: str, worker: int) -> None:
+        pass
+
+    def unit_finished(self, uid: str, worker: int, duration_s: float) -> None:
+        if uid not in self._counted:
+            self._monitor.unit_finished(uid, worker, duration_s, requeued=True)
+
+
+def _drain(
+    channel: Any, monitor: Any, done_uids: Set[str], stop: threading.Event
+) -> None:
+    """Feed worker events to the monitor until stopped and drained."""
+    while True:
+        try:
+            event = channel.get(timeout=0.05)
+        except Exception:
+            if stop.is_set():
+                return
+            continue
+        if not isinstance(event, dict):
+            continue
+        if event.get("type") == "unit_done":
+            done_uids.add(event.get("uid"))
+        try:
+            monitor.handle_event(event)
+        except Exception:
+            pass  # telemetry must never kill the dispatch loop
 
 
 class ProcessPoolBackend:
@@ -150,7 +195,12 @@ class ProcessPoolBackend:
         chunk_size: Optional[int] = None,
         monitor: Optional[Any] = None,
     ) -> List[Any]:
-        """Execute units on the pool; fall back to serial if it won't start."""
+        """Execute units on the pool; fall back to serial if it won't start.
+
+        The one dispatch loop (see the module docstring): a monitor adds
+        the live channel, a drainer thread and watchdog polls to it, and
+        the ``finally`` block cleans up after every exit.
+        """
         record_obs = obs.is_enabled()
         payloads: List[jobs.Payload] = [
             (index, unit.kind, dict(unit.kwargs), record_obs)
@@ -158,52 +208,130 @@ class ProcessPoolBackend:
         ]
         size = chunk_size or default_chunk_size(len(payloads), self.workers)
         chunks = chunked(payloads, size)
+        unit_uids = {index: unit.uid for index, unit in enumerate(units)}
         results: Dict[int, Any] = {}
         snapshots: Dict[int, Dict[str, Any]] = {}
-        if monitor is not None:
-            return self._run_live(
-                units, chunks, record_obs, monitor, results, snapshots
-            )
+        done_uids: Set[str] = set()
         # Pause from before the pool's import and start-up through the
         # snapshot merge: parent-side plumbing a serial run never has.
-        # The pause outlives the pool CM, so the shutdown join is
-        # covered too (sampling it would leak Executor.__exit__ frames).
-        with _parent_sampler_paused():
+        # The pause covers the shutdown join and the telemetry drain too
+        # (sampling them would leak Executor frames).
+        with contextlib.ExitStack() as paused:
+            paused.enter_context(_parent_sampler_paused())
             try:
-                from concurrent.futures import ProcessPoolExecutor, as_completed
+                from concurrent.futures import FIRST_COMPLETED, wait
+                from concurrent.futures.process import (
+                    BrokenProcessPool,
+                    ProcessPoolExecutor,
+                )
 
+                channel = None
+                if monitor is not None:
+                    import multiprocessing
+
+                    context = self._mp_context or multiprocessing.get_context()
+                    channel = context.Queue()
                 pool = ProcessPoolExecutor(
                     max_workers=min(self.workers, len(chunks)),
                     mp_context=self._mp_context,
                     initializer=jobs.init_worker,
                     initargs=(
-                        None,
-                        0.0,
+                        channel,
+                        monitor.heartbeat_interval_s if monitor else 0.0,
                         deepprof.ambient_config(),
                         kernel_default_enabled(),
                     ),
                 )
             except (OSError, ImportError, ValueError) as error:
-                unavailable: Optional[BaseException] = error
-            else:
-                unavailable = None
-                with pool:
-                    futures = [
-                        pool.submit(jobs.execute_chunk, chunk) for chunk in chunks
-                    ]
-                    for future in as_completed(futures):
-                        for unit_index, result, snapshot in future.result():
+                paused.close()
+                print(
+                    f"repro.parallel: process pool unavailable ({error}); "
+                    "running serially",
+                    file=sys.stderr,
+                )
+                return SerialBackend().run(units, monitor=monitor)
+            if monitor is not None:
+                drain_stop = threading.Event()
+                drainer = threading.Thread(
+                    target=_drain,
+                    args=(channel, monitor, done_uids, drain_stop),
+                    name="repro-live-drain",
+                    daemon=True,
+                )
+                drainer.start()
+                monitor.arm_watchdog()
+            requeue = False
+            stalled: List[Dict[str, Any]] = []
+            try:
+                pending = {
+                    pool.submit(jobs.execute_chunk, chunk, unit_uids)
+                    for chunk in chunks
+                }
+                while pending:
+                    done, pending = wait(
+                        pending,
+                        timeout=_LIVE_POLL_S if monitor else None,
+                        return_when=FIRST_COMPLETED,
+                    )
+                    broken = False
+                    for future in done:
+                        try:
+                            outcomes = future.result()
+                        except BrokenProcessPool:
+                            broken = True
+                            continue
+                        for unit_index, result, snapshot in outcomes:
                             results[unit_index] = result
                             if snapshot is not None:
                                 snapshots[unit_index] = snapshot
-                self._merge_snapshots(units, snapshots, record_obs)
-        if unavailable is not None:
-            print(
-                f"repro.parallel: process pool unavailable ({unavailable}); "
-                "running serially",
-                file=sys.stderr,
-            )
-            return SerialBackend().run(units)
+                    stalled = monitor.poll_watchdog() if monitor else []
+                    if (stalled or broken) and monitor and monitor.requeue:
+                        requeue = True
+                        break
+                    if broken:
+                        raise BrokenProcessPool(
+                            "a pool worker died mid-sweep; rerun with "
+                            "--watchdog-requeue to degrade to serial instead"
+                        )
+            finally:
+                if requeue:
+                    # Abandon the pool: kill the wedged workers rather
+                    # than wait on them.
+                    for report in stalled:
+                        with contextlib.suppress(OSError):
+                            os.kill(report["worker"], signal.SIGKILL)
+                pool.shutdown(wait=not requeue, cancel_futures=True)
+                if monitor is not None:
+                    monitor.disarm_watchdog()
+                    # After a clean finish, give in-flight telemetry a
+                    # moment to arrive before the drainer stops.
+                    deadline = time.monotonic() + 1.0
+                    while (
+                        not requeue
+                        and len(done_uids) < len(results)
+                        and time.monotonic() < deadline
+                    ):
+                        time.sleep(0.02)
+                    drain_stop.set()
+                    drainer.join(timeout=1.0)
+                    channel.close()
+                    channel.cancel_join_thread()
+            if requeue:
+                # Requeued units run in this process: sample them
+                # exactly like serial-backend units.
+                paused.close()
+                todo = [i for i in range(len(units)) if i not in results]
+                recorder = obs.get_recorder()
+                with recorder.span("parallel.requeue"):
+                    redone = SerialBackend().run(
+                        [units[index] for index in todo],
+                        monitor=_RequeueReport(monitor, done_uids),
+                    )
+                results.update(zip(todo, redone))
+                recorder.incr("parallel.requeued_units", len(todo))
+                monitor.mark_requeued([report["uid"] for report in stalled])
+                paused.enter_context(_parent_sampler_paused())
+            self._merge_snapshots(units, snapshots, record_obs)
         return [results[index] for index in range(len(units))]
 
     def _merge_snapshots(
@@ -231,192 +359,6 @@ class ProcessPoolBackend:
             state = snapshots[unit_index].get("deepprof")
             if profiler is not None and state:
                 profiler.absorb(state, span_prefix=span_prefix)
-
-    def _run_live(
-        self,
-        units: Sequence[Any],
-        chunks: List[List[jobs.Payload]],
-        record_obs: bool,
-        monitor: Any,
-        results: Dict[int, Any],
-        snapshots: Dict[int, Dict[str, Any]],
-    ) -> List[Any]:
-        """The monitored dispatch loop: heartbeats in, watchdog polled.
-
-        Differences from the plain path: workers are initialized with
-        the live channel, a drainer thread feeds worker events to the
-        monitor, and ``as_completed`` becomes a ``wait(timeout=...)``
-        loop so the watchdog is polled between completions.  A stall
-        with requeue enabled ends pool execution: every unit without a
-        merged result is recomputed serially in the parent (job kinds
-        are pure, so results match byte for byte), the wedged workers
-        are SIGKILLed, and the pool is abandoned without waiting.
-        """
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
-            import multiprocessing
-
-            context = self._mp_context or multiprocessing.get_context()
-            channel = context.Queue()
-            pool = ProcessPoolExecutor(
-                max_workers=min(self.workers, len(chunks)),
-                mp_context=self._mp_context,
-                initializer=jobs.init_worker,
-                initargs=(
-                    channel,
-                    monitor.heartbeat_interval_s,
-                    deepprof.ambient_config(),
-                    kernel_default_enabled(),
-                ),
-            )
-        except (OSError, ImportError, ValueError) as error:
-            print(
-                f"repro.parallel: process pool unavailable ({error}); "
-                "running serially",
-                file=sys.stderr,
-            )
-            return SerialBackend().run(units, monitor=monitor)
-
-        unit_uids = {index: unit.uid for index, unit in enumerate(units)}
-        done_uids: set = set()
-        drain_stop = threading.Event()
-
-        def _drain() -> None:
-            while True:
-                try:
-                    event = channel.get(timeout=0.05)
-                except Exception:
-                    if drain_stop.is_set():
-                        return
-                    continue
-                if not isinstance(event, dict):
-                    continue
-                if event.get("type") == "unit_done":
-                    done_uids.add(event.get("uid"))
-                try:
-                    monitor.handle_event(event)
-                except Exception:
-                    pass  # telemetry must never kill the dispatch loop
-
-        drainer = threading.Thread(
-            target=_drain, name="repro-live-drain", daemon=True
-        )
-        drainer.start()
-        monitor.arm_watchdog()
-        requeue_now = False
-        broken = False
-        try:
-            dispatch_pause = contextlib.ExitStack()
-            dispatch_pause.enter_context(_parent_sampler_paused())
-            pending = {
-                pool.submit(jobs.execute_chunk, chunk, unit_uids)
-                for chunk in chunks
-            }
-            while pending:
-                done, pending = wait(
-                    pending, timeout=_LIVE_POLL_S, return_when=FIRST_COMPLETED
-                )
-                for future in done:
-                    try:
-                        outcomes = future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        pending = set()
-                        break
-                    for unit_index, result, snapshot in outcomes:
-                        results.setdefault(unit_index, result)
-                        if snapshot is not None:
-                            snapshots.setdefault(unit_index, snapshot)
-                stalls = monitor.poll_watchdog()
-                if (stalls or broken) and monitor.requeue:
-                    requeue_now = True
-                    break
-                if broken:
-                    raise BrokenProcessPool(
-                        "a pool worker died mid-sweep; rerun with "
-                        "--watchdog-requeue to degrade to serial instead"
-                    )
-        finally:
-            # Resume parent sampling before any serial requeue below:
-            # requeued units run in this process and should be sampled
-            # exactly like serial-backend units.
-            dispatch_pause.close()
-            monitor.disarm_watchdog()
-
-        if requeue_now:
-            # Stop draining first: a healthy worker finishing mid-requeue
-            # must not double-count a unit the parent is recomputing.
-            drain_stop.set()
-            drainer.join(timeout=1.0)
-            self._requeue_serially(units, results, monitor, done_uids)
-            stalled_pids = {
-                report["worker"] for report in monitor.stall_reports
-            }
-            monitor.mark_requeued(
-                [report["uid"] for report in monitor.stall_reports]
-            )
-            for pid in stalled_pids:
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except (OSError, ProcessLookupError):
-                    pass
-            pool.shutdown(wait=False, cancel_futures=True)
-        else:
-            # Re-pause around the shutdown join and telemetry drain:
-            # both are parent-side waiting a serial run never has, and
-            # sampling them would leak pool-plumbing frames.
-            with _parent_sampler_paused():
-                pool.shutdown(wait=True)
-                # Give in-flight telemetry a moment to drain, then stop.
-                deadline = time.monotonic() + 1.0
-                while time.monotonic() < deadline and len(done_uids) < len(results):
-                    time.sleep(0.02)
-                drain_stop.set()
-                drainer.join(timeout=1.0)
-        try:
-            channel.close()
-            channel.cancel_join_thread()
-        except Exception:
-            pass
-        self._merge_snapshots(units, snapshots, record_obs)
-        return [results[index] for index in range(len(units))]
-
-    def _requeue_serially(
-        self,
-        units: Sequence[Any],
-        results: Dict[int, Any],
-        monitor: Any,
-        done_uids: set,
-    ) -> None:
-        """Recompute every unresolved unit inline (the serial fallback).
-
-        Runs directly under the parent's recorder, like the serial
-        backend — pure job kinds make the recomputed results identical
-        to what the wedged workers would have produced.  Units whose
-        ``unit_done`` event already arrived are recomputed for their
-        result (their chunk future never completed) but not re-counted
-        in the monitor's progress.
-        """
-        recorder = obs.get_recorder()
-        parent = os.getpid()
-        with recorder.span("parallel.requeue"):
-            for index, unit in enumerate(units):
-                if index in results:
-                    continue
-                already_counted = unit.uid in done_uids
-                started_s = time.perf_counter()
-                result = jobs.execute_unit(unit.kind, dict(unit.kwargs))
-                results[index] = result
-                if not already_counted:
-                    monitor.unit_finished(
-                        unit.uid,
-                        parent,
-                        time.perf_counter() - started_s,
-                        requeued=True,
-                    )
-                recorder.incr("parallel.requeued_units")
 
 
 def _multiprocessing_context() -> Any:

@@ -7,12 +7,12 @@ retained ring buffer), the ``disposition`` matches the response body's,
 and the timing split (queue wait vs. handler time vs. total) matches
 the request's span tree.
 
-The file opens in append mode with missing parent directories created
-(the PR 6 convention shared by ``--live-out``/``--trace-out``), starts
-with one ``access_meta`` header line identifying the schema and
-process, and flushes per request — an access log that loses its tail
-on crash is useless exactly when it matters.  ``repro stats`` replays
-the file offline (see :func:`repro.obs.stats.render_stats`).
+The log is a :class:`repro.obs.sinks.JsonlAppender`, the same writer
+behind ``--live-out``: append mode, missing parent directories
+created, one flushed line per request.  It starts with one
+``access_meta`` header line identifying the schema and process.
+``repro stats`` replays the file offline (see
+:func:`repro.obs.stats.render_stats`).
 
 Schema (``access_schema_version`` 1), documented in
 ``docs/OBSERVABILITY.md`` next to the live.jsonl schema:
@@ -33,25 +33,22 @@ Schema (``access_schema_version`` 1), documented in
 
 from __future__ import annotations
 
-import json
-import threading
+import pathlib
 import time
-from pathlib import Path
-from typing import Any, Dict, Optional, TextIO
+from typing import Any, Dict, Optional, Union
+
+from ..obs.sinks import JsonlAppender
 
 #: Version stamp on the meta line and every access record.
 ACCESS_SCHEMA_VERSION = 1
 
 
-class AccessLog:
+class AccessLog(JsonlAppender):
     """An append-only JSONL access log with a schema header line."""
 
-    def __init__(self, path: Path) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self._handle: Optional[TextIO] = self.path.open("a", encoding="utf-8")
-        self._write(self._meta_line())
+    def __init__(self, path: Union[str, pathlib.Path]) -> None:
+        super().__init__(path)
+        self.write(self._meta_line())
         self.records_written = 0
 
     def _meta_line(self) -> Dict[str, Any]:
@@ -64,16 +61,6 @@ class AccessLog:
             "unix_s": round(time.time(), 3),
             "provenance": run_provenance(),
         }
-
-    def _write(self, document: Dict[str, Any]) -> None:
-        if self._handle is None:
-            return
-        line = json.dumps(document, sort_keys=True)
-        with self._lock:
-            if self._handle is None:
-                return
-            self._handle.write(line + "\n")
-            self._handle.flush()
 
     def record(
         self,
@@ -90,7 +77,7 @@ class AccessLog:
         error: Optional[str] = None,
     ) -> None:
         """Append one completed request."""
-        self._write(
+        self.write(
             {
                 "type": "access",
                 "access_schema_version": ACCESS_SCHEMA_VERSION,
@@ -111,16 +98,3 @@ class AccessLog:
             }
         )
         self.records_written += 1
-
-    def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
-
-    def __enter__(self) -> "AccessLog":
-        return self
-
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> bool:
-        self.close()
-        return False
