@@ -19,15 +19,30 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..commcc import (
     BitString,
+    flat_to_index_pair,
     pairwise_disjoint_inputs,
     uniquely_intersecting_inputs,
 )
 from ..framework import RoundLowerBound, cut_size
-from ..gadgets import GadgetParameters, LinearMaxISFamily, QuadraticMaxISFamily
+from ..gadgets import (
+    GadgetParameters,
+    LinearMaxISFamily,
+    QuadraticMaxISFamily,
+    linear_intersecting_witness,
+    quadratic_intersecting_witness,
+)
 from ..maxis import max_weight_independent_set
 from ..obs import get_recorder
 
 _obs = get_recorder()
+
+
+def _common_index(inputs: Sequence[BitString]) -> int:
+    """The index set in every string: the single bit of their AND."""
+    common = -1
+    for string in inputs:
+        common &= string.mask
+    return common.bit_length() - 1
 
 
 class GapMeasurement:
@@ -169,8 +184,14 @@ class LinearLowerBoundExperiment:
                 with _obs.span("experiment.sample"):
                     inputs = uniquely_intersecting_inputs(params.k, params.t, rng=rng)
                     graph = self.family.build(inputs)
+                    # Claims 1 and 3: Property 1's set at the common index.
+                    witness = linear_intersecting_witness(
+                        construction, _common_index(inputs)
+                    )
                 with _obs.span("experiment.solve"):
-                    intersecting.append(max_weight_independent_set(graph).weight)
+                    intersecting.append(
+                        max_weight_independent_set(graph, incumbent=witness).weight
+                    )
                 with _obs.span("experiment.sample"):
                     inputs = pairwise_disjoint_inputs(params.k, params.t, rng=rng)
                     graph = self.family.build(inputs)
@@ -234,8 +255,15 @@ class QuadraticLowerBoundExperiment:
                 with _obs.span("experiment.sample"):
                     inputs = uniquely_intersecting_inputs(length, params.t, rng=rng)
                     graph = self.family.build(inputs)
+                    # Claim 6: the set at the common pair (m1, m2).
+                    witness = quadratic_intersecting_witness(
+                        construction,
+                        *flat_to_index_pair(_common_index(inputs), params.k),
+                    )
                 with _obs.span("experiment.solve"):
-                    intersecting.append(max_weight_independent_set(graph).weight)
+                    intersecting.append(
+                        max_weight_independent_set(graph, incumbent=witness).weight
+                    )
                 with _obs.span("experiment.sample"):
                     inputs = pairwise_disjoint_inputs(length, params.t, rng=rng)
                     graph = self.family.build(inputs)

@@ -22,7 +22,7 @@ back to branch-and-bound on the raw graph.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..graphs import Node, WeightedGraph
 from ..obs import get_recorder
@@ -41,6 +41,13 @@ _obs = get_recorder()
 #: expands 34,340 in about a quarter of the time, and 0.75-0.9 are
 #: within noise of each other.  See docs/SOLVER.md for the table.
 _COVER_REBUILD_RATIO = 0.8
+
+#: An accepted incumbent of weight ``W`` seeds the search at
+#: ``W - (|W| + 1) * _SEED_MARGIN``: strictly below ``W`` (no
+#: ``math.nextafter`` before Python 3.9), and far enough below that the
+#: search's own float sum of the same set, taken in another order, still
+#: beats it.
+_SEED_MARGIN = 1e-9
 
 
 class BranchAndBoundStats:
@@ -71,6 +78,7 @@ def max_weight_independent_set(
     graph: WeightedGraph,
     stats: Optional[BranchAndBoundStats] = None,
     kernel: Optional[bool] = None,
+    incumbent: Optional[Iterable[Node]] = None,
 ) -> IndependentSetResult:
     """Return a maximum-weight independent set of ``graph``.
 
@@ -88,6 +96,14 @@ def max_weight_independent_set(
     identical search, so their witnesses coincide exactly — the
     regression pins compare sorted witness lists kernel-on vs -off.
 
+    ``incumbent`` is an optional hint: a node set the caller already
+    knows, such as the paper's witness for the high side of a gap.  If
+    it is independent in ``graph``, the search starts just below its
+    weight instead of from nothing, which prunes more and never changes
+    the returned witness (see :func:`_solve_ordered_masks`).  Anything
+    else is ignored, and so is the hint when a kernel rule fires.  The
+    hint is not part of the store key.
+
     Optima are memoized as witness node sets under ``maxis.solution``
     when the result store is configured.  The key covers the kernel flag
     and fingerprints the kernel module, so cached witnesses can never
@@ -102,7 +118,7 @@ def max_weight_independent_set(
     use_kernel = kernel_default_enabled() if kernel is None else bool(kernel)
     store = get_store()
     if store is None:
-        return _solve(graph, stats, use_kernel)
+        return _solve(graph, stats, use_kernel, incumbent)
     key = store.key_for(
         "maxis.solution", {"graph": graph, "kernel": use_kernel}, MAXIS_MODULES
     )
@@ -112,7 +128,7 @@ def max_weight_independent_set(
             return IndependentSetResult(graph, nodes)
         except (KeyError, ValueError):
             pass  # witness doesn't fit this graph: recompute below
-    result = _solve(graph, stats, use_kernel)
+    result = _solve(graph, stats, use_kernel, incumbent)
     store.put(key, "maxis.solution", "node_list", list(result.nodes))
     return result
 
@@ -121,22 +137,51 @@ def _solve(
     graph: WeightedGraph,
     stats: Optional[BranchAndBoundStats],
     use_kernel: bool,
+    incumbent: Optional[Iterable[Node]],
 ) -> IndependentSetResult:
     _validate_weights(graph)
+    seed = _incumbent_seed(graph, incumbent)
     if use_kernel:
-        return _kernelized_branch_and_bound(graph, stats)
-    return _branch_and_bound(graph, stats)
+        return _kernelized_branch_and_bound(graph, stats, seed)
+    return _branch_and_bound(graph, stats, seed)
+
+
+def _incumbent_seed(
+    graph: WeightedGraph, incumbent: Optional[Iterable[Node]]
+) -> float:
+    """The search seed for ``incumbent``: just below its weight, or -1.0.
+
+    The hint is trusted only as far as the live graph confirms it: a set
+    with an unknown node or an edge inside is dropped, and its weight is
+    summed from the live weights, never taken from the caller.
+    """
+    if incumbent is None:
+        return -1.0
+    nodes = frozenset(incumbent)
+    try:
+        if not graph.is_independent_set(nodes):
+            return -1.0
+    except KeyError:
+        return -1.0
+    weight = float(graph.total_weight(nodes))
+    return weight - (abs(weight) + 1.0) * _SEED_MARGIN
 
 
 def _kernelized_branch_and_bound(
     graph: WeightedGraph,
-    stats: Optional[BranchAndBoundStats] = None,
+    stats: Optional[BranchAndBoundStats],
+    seed: float,
 ) -> IndependentSetResult:
     kern = kernelize(graph)
     labels, weights, masks = kern.reduced_index_form()
+    if not kern.is_identity:
+        # The seed weighs the incumbent in the original graph.  Once a
+        # rule has included, dropped or folded nodes, the kernel's
+        # optimum is lower by what the rules fixed, so drop the seed.
+        seed = -1.0
     stats = stats or BranchAndBoundStats()
     with _obs.span("maxis.exact.search", n=len(labels)):
-        best_weight, best_set = _solve_ordered_masks(weights, masks, stats)
+        best_weight, best_set = _solve_ordered_masks(weights, masks, stats, seed)
     _record_solve(stats)
     reduced_chosen = [
         labels[pos] for pos in range(len(labels)) if (best_set >> pos) & 1
@@ -150,7 +195,8 @@ def _kernelized_branch_and_bound(
 
 def _branch_and_bound(
     graph: WeightedGraph,
-    stats: Optional[BranchAndBoundStats] = None,
+    stats: Optional[BranchAndBoundStats],
+    seed: float,
 ) -> IndependentSetResult:
     # The cached solver index form is already in branching order
     # (descending weight, then degree) with masks built against it — no
@@ -162,7 +208,7 @@ def _branch_and_bound(
         return IndependentSetResult(graph, [])
     stats = stats or BranchAndBoundStats()
     with _obs.span("maxis.exact.search", n=n):
-        best_weight, best_set = _solve_ordered_masks(weights, masks, stats)
+        best_weight, best_set = _solve_ordered_masks(weights, masks, stats, seed)
     _record_solve(stats)
     return IndependentSetResult(
         graph, [node_list[pos] for pos in range(n) if (best_set >> pos) & 1]
@@ -211,6 +257,7 @@ def _solve_ordered_masks(
     weights: List[float],
     masks: List[int],
     stats: BranchAndBoundStats,
+    seed: float = -1.0,
 ) -> Tuple[float, int]:
     """Branch and bound over a *pre-ordered* index form.
 
@@ -233,11 +280,22 @@ def _solve_ordered_masks(
     however strong — leaves it unchanged, so tuning the rebuild ratio
     can never change a witness.  The kernel-on/off determinism pins
     rely on this.
+
+    ``seed`` is the incumbent weight the search starts from (-1.0: none,
+    as every weight is non-negative).  Any seed strictly below the
+    optimum is sound for the same reason: until the first optimum in DFS
+    order is reached the incumbent stays below the optimum, so the
+    branch holding it is never pruned, and after it nothing improves
+    strictly.  A seed at or above the optimum would prune every leaf;
+    float rounding between the caller's weight sum and the search's is
+    the only way that can happen, and then nothing beats the seed and
+    the search runs again unseeded.  A seed can cost time but never
+    changes the answer.
     """
     n = len(weights)
     if n == 0:
         return 0.0, 0
-    best_weight = -1.0
+    best_weight = seed
     best_set = 0
     nodes_expanded = 0
     bound_prunes = 0
@@ -303,6 +361,8 @@ def _solve_ordered_masks(
     search((1 << n) - 1, 0.0, 0, [], float(n))
     stats.nodes_expanded += nodes_expanded
     stats.bound_prunes += bound_prunes
+    if best_weight <= seed:
+        return _solve_ordered_masks(weights, masks, stats)
     return best_weight, best_set
 
 

@@ -11,7 +11,8 @@ histogram distributions, and the top keyed-counter entries.
 ``unit``/``progress``/``stall``/``live_summary`` events render as a
 "Live progress" section (final progress snapshot, per-unit duration
 table, and any stall reports) next to whatever classic recorder
-events the file carries.
+events the file carries.  ``--live-out`` appends, so each session in
+the file (opened by its ``live_meta``) gets its own section.
 
 Event files on disk are often imperfect — a run killed mid-write
 leaves a truncated last line — so the CLI path loads *tolerantly*:
@@ -170,22 +171,42 @@ _LIVE_PROGRESS_FIELDS = (
 )
 
 
+#: Event types written by ``--live-out``; a ``live_meta`` opens a session.
+_LIVE_TYPES = frozenset(("live_meta", "unit", "stall", "live_summary", "progress"))
+
+
 def _render_live_sections(
     events: List[Dict[str, Any]], render_table: Any
 ) -> List[str]:
-    """Tables for live.jsonl (schema v1) events, if the file has any."""
-    live_meta = next((e for e in events if e["type"] == "live_meta"), None)
-    unit_events = [e for e in events if e["type"] == "unit"]
-    stalls = [e for e in events if e["type"] == "stall"]
+    """Tables for live.jsonl (schema v1) events, one set per session.
+
+    ``--live-out`` appends, so one file can hold several runs, each
+    opened by its own ``live_meta``.  Every session gets its own
+    progress, slowest-units and stall tables, titled with its command.
+    """
+    sessions: List[List[Dict[str, Any]]] = []
+    for event in events:
+        if event["type"] in _LIVE_TYPES:
+            if event["type"] == "live_meta" or not sessions:
+                sessions.append([])
+            sessions[-1].append(event)
+    parts: List[str] = []
+    for session in sessions:
+        parts.extend(_render_live_session(session, render_table))
+    return parts
+
+
+def _render_live_session(
+    events: List[Dict[str, Any]], render_table: Any
+) -> List[str]:
+    live_meta = events[0] if events[0]["type"] == "live_meta" else {}
+    command = live_meta.get("command", "?")
     summary = next(
         (e for e in reversed(events) if e["type"] in ("live_summary", "progress")),
         None,
     )
-    if live_meta is None and summary is None and not unit_events:
-        return []
     parts: List[str] = []
     if summary is not None:
-        command = live_meta.get("command", "?") if live_meta else "?"
         rows = [
             [field, summary.get(field)]
             for field in _LIVE_PROGRESS_FIELDS
@@ -200,8 +221,9 @@ def _render_live_sections(
         )
     finished = [
         e
-        for e in unit_events
-        if e.get("status") in ("done", "requeued")
+        for e in events
+        if e["type"] == "unit"
+        and e.get("status") in ("done", "requeued")
         and e.get("duration_s") is not None
     ]
     if finished:
@@ -220,11 +242,12 @@ def _render_live_sections(
                 ["unit", "status", "worker", "ms"],
                 rows,
                 title=(
-                    f"Slowest units (top {min(len(finished), 20)} "
+                    f"Slowest units ({command}, top {min(len(finished), 20)} "
                     f"of {len(finished)})"
                 ),
             )
         )
+    stalls = [e for e in events if e["type"] == "stall"]
     if stalls:
         rows = [
             [
@@ -240,7 +263,7 @@ def _render_live_sections(
             render_table(
                 ["stalled unit", "worker", "waited s", "deadline s", "requeued"],
                 rows,
-                title="Stall reports",
+                title=f"Stall reports ({command})",
             )
         )
     return parts

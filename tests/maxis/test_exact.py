@@ -7,11 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.commcc import pairwise_disjoint_inputs, uniquely_intersecting_inputs
+from repro.commcc import (
+    flat_to_index_pair,
+    pairwise_disjoint_inputs,
+    uniquely_intersecting_inputs,
+)
+from repro.core.experiments import _common_index
 from repro.gadgets import (
     GadgetParameters,
     LinearMaxISFamily,
     QuadraticMaxISFamily,
+    linear_intersecting_witness,
+    quadratic_intersecting_witness,
     smallest_meaningful_linear_parameters,
 )
 from repro.graphs import WeightedGraph, clique, random_graph
@@ -21,6 +28,9 @@ from repro.maxis import (
     max_independent_set_weight,
     max_weight_independent_set,
 )
+from repro.maxis.exact import _solve_ordered_masks
+from repro.parallel.engine import THEOREM2_POINTS
+from repro.store import using_store
 
 
 class TestSmallGraphs:
@@ -245,3 +255,119 @@ def test_hypothesis_matches_brute_force(n, p, seed):
     fast = max_weight_independent_set(graph).weight
     slow = brute_force_max_weight_independent_set(graph).weight
     assert fast == slow
+
+
+def _intersecting_instances():
+    """Seed-0 intersecting instances with the paper's witness for each.
+
+    Theorem 1 at t = 2..5 (Claim 3's set at the common index) and every
+    Theorem 2 sweep point (Claim 6's set at the common pair).
+    """
+    for t in (2, 3, 4, 5):
+        params = smallest_meaningful_linear_parameters(t)
+        family = LinearMaxISFamily(params)
+        inputs = uniquely_intersecting_inputs(params.k, t, rng=random.Random(0))
+        witness = linear_intersecting_witness(
+            family.construction, _common_index(inputs)
+        )
+        yield pytest.param(family.build(inputs), witness, id=f"theorem1-t{t}")
+    for ell, t in THEOREM2_POINTS:
+        params = GadgetParameters(ell=ell, alpha=1, t=t)
+        family = QuadraticMaxISFamily(params)
+        inputs = uniquely_intersecting_inputs(
+            params.k * params.k, t, rng=random.Random(0)
+        )
+        m1, m2 = flat_to_index_pair(_common_index(inputs), params.k)
+        witness = quadratic_intersecting_witness(family.construction, m1, m2)
+        yield pytest.param(family.build(inputs), witness, id=f"theorem2-ell{ell}-t{t}")
+
+
+def _random_independent_set(graph, rng):
+    """A random maximal independent set: greedy over a shuffled order."""
+    order = sorted(graph.nodes())
+    rng.shuffle(order)
+    chosen = set()
+    for node in order:
+        if not graph.neighbors(node) & chosen:
+            chosen.add(node)
+    return chosen
+
+
+class TestIncumbent:
+    """A known independent set seeds the search and never changes the answer."""
+
+    @pytest.mark.parametrize("graph,witness", list(_intersecting_instances()))
+    @pytest.mark.parametrize("kernel", [True, False])
+    def test_paper_witness_keeps_the_witness_and_expands_fewer_nodes(
+        self, graph, witness, kernel
+    ):
+        plain_stats, seeded_stats = BranchAndBoundStats(), BranchAndBoundStats()
+        plain = max_weight_independent_set(graph, stats=plain_stats, kernel=kernel)
+        seeded = max_weight_independent_set(
+            graph, stats=seeded_stats, kernel=kernel, incumbent=witness
+        )
+        assert sorted(seeded.nodes) == sorted(plain.nodes)
+        # The paper's set is tight on these instances (Claims 3 and 6).
+        assert graph.total_weight(witness) == plain.weight
+        assert seeded_stats.nodes_expanded < plain_stats.nodes_expanded
+
+    def test_non_independent_incumbent_is_ignored(self):
+        graph = random_graph(14, 0.4, rng=random.Random(3), weight_range=(1, 9))
+        u, v = next(iter(graph.edges()))
+        heavy = set(graph.nodes())  # far heavier than any independent set
+        plain_stats = BranchAndBoundStats()
+        plain = max_weight_independent_set(graph, stats=plain_stats, kernel=False)
+        for incumbent in (heavy, {u, v}, {"not a node"}):
+            stats = BranchAndBoundStats()
+            result = max_weight_independent_set(
+                graph, stats=stats, kernel=False, incumbent=incumbent
+            )
+            assert sorted(result.nodes) == sorted(plain.nodes)
+            assert stats.nodes_expanded == plain_stats.nodes_expanded
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_incumbents_match_oracles(self, seed):
+        rng = random.Random(seed + 900)
+        graph = random_graph(
+            rng.randint(5, 14), rng.uniform(0.1, 0.7), rng=rng, weight_range=(1, 9)
+        )
+        expected = brute_force_max_weight_independent_set(graph)
+        assert _networkx_max_weight_is(graph) == expected.weight
+        incumbents = [_random_independent_set(graph, rng) for _ in range(3)]
+        incumbents += [set(), set(expected.nodes)]
+        for kernel in (True, False):
+            plain = max_weight_independent_set(graph, kernel=kernel)
+            for incumbent in incumbents:
+                seeded = max_weight_independent_set(
+                    graph, kernel=kernel, incumbent=incumbent
+                )
+                assert seeded.weight == expected.weight
+                assert sorted(seeded.nodes) == sorted(plain.nodes)
+
+    def test_seed_at_the_optimum_falls_back_to_an_unseeded_search(self):
+        # Rounding could put a seed at the optimum; nothing beats it
+        # then, and the search must run again rather than return nothing.
+        graph = random_graph(12, 0.4, rng=random.Random(5), weight_range=(1, 9))
+        _, weights, masks, _ = graph.solver_index_form()
+        plain = _solve_ordered_masks(weights, masks, BranchAndBoundStats())
+        for seed in (plain[0], plain[0] + 1.0):
+            assert _solve_ordered_masks(
+                weights, masks, BranchAndBoundStats(), seed
+            ) == plain
+
+    def test_store_key_and_payload_do_not_see_the_incumbent(self, monkeypatch):
+        graph, witness = next(iter(_intersecting_instances())).values
+        writes = []
+        for incumbent in (None, witness):
+            with using_store("memory") as store:
+                monkeypatch.setattr(
+                    store.backend,
+                    "put",
+                    lambda key, codec, data, kind="": writes.append(
+                        (key, codec, data, kind)
+                    ),
+                )
+                max_weight_independent_set(graph, incumbent=incumbent)
+        assert len(writes) == 2
+        assert writes[0] == writes[1]
+        assert writes[0][3] == "maxis.solution"

@@ -50,6 +50,25 @@ class TestLiveOut:
         assert "Live progress (theorem2)" in out
         assert "Slowest units" in out
 
+    def test_stats_replays_each_appended_session_on_its_own(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "live.jsonl"
+        for command in ("theorem1", "theorem2"):
+            argv = [command, "--max-t", "3", "--samples", "1"]
+            assert main(argv + ["--live-out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["stats", str(path)]) == 0
+        out = capsys.readouterr().out
+        first, second = out.split("Live progress (theorem2)")
+        assert "Live progress (theorem1)" in first
+        assert "Slowest units (theorem1, top 2 of 2)" in first
+        assert re.search(r"units_total\s+2\b", first)
+        assert "theorem2/" not in first
+        assert "Slowest units (theorem2, top 3 of 3)" in second
+        assert re.search(r"units_total\s+3\b", second)
+        assert "theorem1/" not in second
+
     def test_trace_out_creates_missing_parent_directories(self, tmp_path, capsys):
         # Regression guard for the same courtesy on the profiling flags.
         trace = tmp_path / "traces" / "nested" / "trace.json"
