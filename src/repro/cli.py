@@ -64,8 +64,8 @@ and the ``BENCH_*.json`` trajectory schema are documented in
 Live telemetry (the "Live monitoring" section of
 ``docs/OBSERVABILITY.md``): ``theorem1``, ``theorem2``, ``claims``,
 and ``bench`` accept ``--live`` (in-place terminal status line),
-``--live-out PATH`` (append-only ``live.jsonl`` stream, schema v1,
-replayable by ``repro stats``), ``--metrics-port PORT`` (background
+``--live-out PATH`` (append-only ``live.jsonl`` stream, replayable
+by ``repro stats``), ``--metrics-port PORT`` (background
 HTTP server with Prometheus ``/metrics`` plus ``/progress`` and
 ``/health`` JSON; port 0 picks a free port and prints it), and the
 stall watchdog knobs ``--watchdog-deadline SECONDS`` /
@@ -255,7 +255,7 @@ def _profiled(args: argparse.Namespace) -> Iterator[Optional[object]]:
     # and reset the recorder through _recording_enabled; resetting again
     # here would be the double-enable path this helper layering removes.
     with obs.recording(
-        jsonl_path=jsonl_path, reset=not obs.is_enabled()
+        jsonl_path=jsonl_path, reset=not obs.is_enabled(), command=args.command
     ) as recorder:
         with recorder.span(args.command):
             yield recorder
@@ -284,7 +284,7 @@ def _add_live_args(parser: argparse.ArgumentParser) -> None:
         metavar="PATH",
         help=(
             "append live progress/heartbeat/stall events to a live.jsonl "
-            "stream (schema v1; replay with `repro stats`)"
+            "stream (JSONL envelope v4; replay with `repro stats`)"
         ),
     )
     parser.add_argument(
@@ -1016,7 +1016,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    from .obs.stats import load_events_tolerant, render_stats_file
+    from .obs.stats import load_events_tolerant, render_stats, span_events
 
     path = pathlib.Path(args.events)
     # A run that recorded nothing (or was pointed at a path it never
@@ -1027,17 +1027,16 @@ def cmd_stats(args: argparse.Namespace) -> int:
             "--profile-json or --live-out to produce one"
         )
         return 0
-    events, _ = load_events_tolerant(str(path))
+    events, malformed = load_events_tolerant(path)
     if not events:
         print(f"no events recorded in {path} (no parseable event lines)")
         return 0
-    print(render_stats_file(args.events))
+    print(render_stats(events, malformed=malformed))
     if args.trace_out:
         from .obs.export import write_chrome_trace
 
-        spans = [event for event in events if event.get("type") == "span"]
         write_chrome_trace(
-            args.trace_out, spans, trace_name=pathlib.Path(args.events).stem
+            args.trace_out, span_events(events), trace_name=path.stem
         )
         print(f"\n[Chrome trace written to {args.trace_out}]")
     return 0
@@ -1059,11 +1058,10 @@ def cmd_flame(args: argparse.Namespace) -> int:
         return 2
     try:
         if path.suffix == ".jsonl":
-            from .obs.stats import load_events_tolerant
+            from .obs.stats import load_events_tolerant, span_events
 
-            events, _ = load_events_tolerant(str(path))
-            spans = [event for event in events if event.get("type") == "span"]
-            samples = flame.folded_from_spans(spans)
+            events, _ = load_events_tolerant(path)
+            samples = flame.folded_from_spans(span_events(events))
         elif path.suffix == ".json":
             document = json.loads(path.read_text())
             samples = {
@@ -1189,7 +1187,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from . import obs
     from .obs.httpexp import MetricsSuite
     from .obs.reqtrace import TraceBuffer
-    from .serve import AccessLog, Application, Dispatcher, SLORegistry
+    from .obs.sinks import JsonlAppender
+    from .serve import Application, Dispatcher, SLORegistry
     from .serve import parse_slo_spec
     from .serve import run as serve_run
 
@@ -1204,7 +1203,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return 2
     access_log = None
     if args.access_log:
-        access_log = AccessLog(pathlib.Path(args.access_log))
+        access_log = JsonlAppender(args.access_log, "access", "serve")
         print(f"[access log: {access_log.path}]", file=sys.stderr, flush=True)
     with _kernelled(args), _cached(args), _recording_enabled():
         monitor = obs.LiveMonitor(command="serve", render=False)

@@ -65,7 +65,6 @@ from .httpexp import (
     sanitize_metric_name,
 )
 from .live import (
-    LIVE_SCHEMA_VERSION,
     LiveMonitor,
     _clear_ambient_monitor,
     get_monitor,
@@ -143,11 +142,13 @@ def is_enabled() -> bool:
 def recording(
     jsonl_path: Optional[Union[str, pathlib.Path]] = None,
     reset: bool = True,
+    command: Optional[str] = None,
 ) -> Iterator[Recorder]:
     """Enable the process-wide recorder for the duration of a block.
 
     Resets previously recorded data first (pass ``reset=False`` to
-    accumulate), optionally streams events to ``jsonl_path``, and on
+    accumulate), optionally streams events to ``jsonl_path`` (its
+    ``meta`` header names ``command``), and on
     exit restores the previous enabled state and flushes counter totals
     to the sinks.  The recorded data stays available on the yielded
     recorder after the block for rendering.
@@ -158,7 +159,7 @@ def recording(
         recorder.reset()
     sink = None
     if jsonl_path is not None:
-        sink = JsonlSink(jsonl_path)
+        sink = JsonlSink(jsonl_path, command)
         recorder.add_sink(sink)
     recorder.enabled = True
     try:
@@ -178,7 +179,6 @@ __all__ = [
     "Histogram",
     "InMemorySink",
     "JsonlSink",
-    "LIVE_SCHEMA_VERSION",
     "LiveMonitor",
     "MetricsSuite",
     "NULL_SPAN",

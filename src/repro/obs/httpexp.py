@@ -19,8 +19,8 @@ hosted by ``repro.serve``'s HTTP layer (``--metrics-port`` and
 
 ``/progress``
     The monitor's :meth:`~repro.obs.live.LiveMonitor.snapshot` as
-    JSON (schema v1, the same shape as ``live.jsonl`` progress
-    events), plus the stall reports.
+    JSON (the same shape as ``live.jsonl`` progress events, under
+    the envelope's ``schema_version``), plus the stall reports.
 
 ``/health``
     ``{"status": "ok", "uptime_s": ...}`` — a liveness probe.
@@ -37,6 +37,8 @@ import math
 import re
 import time
 from typing import Any, Dict, List, Optional, Tuple
+
+from .recorder import SCHEMA_VERSION
 
 #: Keyed-counter series cap per metric: the per-edge traffic matrix
 #: can hold thousands of keys; scrape the heaviest hitters.
@@ -187,9 +189,7 @@ class MetricsSuite:
 
     def progress_document(self) -> Dict[str, Any]:
         """The ``/progress`` JSON body (monitor snapshot + stalls)."""
-        from .live import LIVE_SCHEMA_VERSION
-
-        document: Dict[str, Any] = {"live_schema_version": LIVE_SCHEMA_VERSION}
+        document: Dict[str, Any] = {"schema_version": SCHEMA_VERSION}
         if self.monitor is None:
             from .live import get_monitor
 

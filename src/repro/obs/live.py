@@ -9,8 +9,8 @@ multiprocessing queue — and fans the rolling state out to three
 consumers:
 
 * an in-place terminal status line (``--live``);
-* an append-only ``live.jsonl`` stream (``--live-out``, schema v1,
-  replayable by ``python -m repro stats``);
+* an append-only ``live.jsonl`` stream (``--live-out``, replayable
+  by ``python -m repro stats``);
 * the HTTP exporter's ``/progress`` and ``/metrics`` endpoints
   (:mod:`repro.obs.httpexp`).
 
@@ -24,10 +24,10 @@ wedged units on the serial fallback so one stuck worker degrades the
 sweep instead of hanging it.  The watchdog is never armed on the
 serial path — a single in-process lane cannot requeue to itself.
 
-``live.jsonl`` schema v1 (one JSON object per line):
+``live.jsonl`` records (one JSON object per line; each session opens
+with the shared ``meta`` envelope of :mod:`repro.obs.sinks`, ``stream``
+``"live"``, ``schema_version`` 4):
 
-* ``{"type": "live_meta", "live_schema_version": 1, "command"}`` —
-  always the first line;
 * ``{"type": "progress", "t_s", "units_total", "units_done",
   "units_in_flight", "units_cached", "units_requeued",
   "unit_ema_s", "unit_peak_s", "workers_alive", "workers",
@@ -58,10 +58,6 @@ import time
 from typing import Any, Dict, Iterator, List, Optional, TextIO, Union
 
 from .sinks import JsonlAppender
-
-#: Version of the ``live.jsonl`` event schema.  Bump when the event
-#: shape changes.
-LIVE_SCHEMA_VERSION = 1
 
 #: Seconds between worker heartbeats on the live channel.
 DEFAULT_HEARTBEAT_INTERVAL_S = 0.2
@@ -113,7 +109,9 @@ class LiveMonitor:
         self._stream = stream if stream is not None else sys.stderr
         self._lock = threading.Lock()
         self._start_s = clock()
-        self._writer = JsonlAppender(jsonl_path) if jsonl_path else None
+        self._writer = (
+            JsonlAppender(jsonl_path, "live", command) if jsonl_path else None
+        )
         # Progress state.
         self.units_total = 0
         self.units_done = 0
@@ -132,14 +130,6 @@ class LiveMonitor:
         self._stop = threading.Event()
         self._rendered = False
         self._closed = False
-        if self._writer is not None:
-            self._writer.write(
-                {
-                    "type": "live_meta",
-                    "live_schema_version": LIVE_SCHEMA_VERSION,
-                    "command": command,
-                }
-            )
         if self.render or self._writer is not None:
             self._ticker = threading.Thread(
                 target=self._tick_loop, name="repro-live-ticker", daemon=True

@@ -38,12 +38,16 @@ from typing import (
 
 from .metrics import DEFAULT_RESERVOIR_SIZE, Histogram, render_summary_rows
 
-#: Version of the span/counter event schema emitted by sinks and
-#: embedded in run manifests.  Bump when the event shape changes.
+#: Version of the JSONL envelope shared by every stream (events,
+#: ``live.jsonl``, ``access.jsonl``) and embedded in run manifests.
+#: Bump when a record shape changes.
 #: v2: histogram/timer events, manifest provenance + metric sections.
 #: v3: span events carry a ``track`` label (worker-track metadata for
 #: Chrome-trace export; ``null`` for spans recorded in-process).
-SCHEMA_VERSION = 3
+#: v4: one ``meta`` header for all three streams (``stream``,
+#: ``command``, ``unix_s``, ``provenance``); the live and access
+#: streams lose their own header types and version numbers.
+SCHEMA_VERSION = 4
 
 #: Callbacks run by every :meth:`Recorder.hard_reset`, in registration
 #: order.  See :func:`register_hard_reset_hook`.

@@ -1,17 +1,18 @@
-"""Event sinks for the observability recorder.
+"""Event sinks and the one JSONL writer behind every observability stream.
 
 A sink receives every completed span as it closes (``on_span``) and the
-counter/gauge totals at flush time (``on_flush``).  Two implementations
-ship with the subsystem: an in-memory event list (tests, programmatic
-consumers) and a JSONL file writer whose output ``python -m repro
-stats`` replays into summary tables.  :class:`JsonlAppender` is the
-append-only, thread-safe JSONL writer behind the live event stream and
-the serve access log.
+counter/gauge totals at flush time (``on_flush``): an in-memory event
+list (tests, programmatic consumers) or :class:`JsonlSink`, an events
+file that ``python -m repro stats`` replays into summary tables.
 
-JSONL event schema (one JSON object per line; see
+:class:`JsonlAppender` writes all three JSONL streams — the events file
+(``--profile-json``), ``live.jsonl`` (``--live-out``) and the serve
+access log (``--access-log``) — and opens every session with the one
+envelope header :func:`meta_line` builds (``schema_version`` 4, see
 ``docs/OBSERVABILITY.md``):
+``{"type": "meta", "schema_version", "stream": "events"|"live"|"access",
+"command", "unix_s", "provenance"}``.  The events stream's records:
 
-* ``{"type": "meta", "schema_version": 3}`` — always the first line;
 * ``{"type": "span", "index", "parent", "depth", "name", "params",
   "start_s", "duration_s", "track"}`` — one per completed span
   (``track`` is ``null`` for in-process spans, a work-unit id for
@@ -22,6 +23,9 @@ JSONL event schema (one JSON object per line; see
 * ``{"type": "hist", "name", "count", "sum", "min", "max", "mean",
   "p50", "p90", "p99"}`` — one per histogram at flush;
 * ``{"type": "timer", ...}`` — same shape, values in seconds.
+
+The live records are listed in :mod:`repro.obs.live`, the access
+records in ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
@@ -29,9 +33,23 @@ from __future__ import annotations
 import json
 import pathlib
 import threading
-from typing import Any, Dict, List, Union
+import time
+from typing import Any, Dict, List, Optional, Union
 
+from .manifest import run_provenance
 from .recorder import Recorder, SCHEMA_VERSION, SpanRecord
+
+
+def meta_line(stream: str, command: Optional[str] = None) -> Dict[str, Any]:
+    """The envelope header that opens every JSONL session."""
+    return {
+        "type": "meta",
+        "schema_version": SCHEMA_VERSION,
+        "stream": stream,
+        "command": command,
+        "unix_s": round(time.time(), 3),
+        "provenance": run_provenance(),
+    }
 
 
 def counter_events(recorder: Recorder) -> List[Dict[str, Any]]:
@@ -76,51 +94,31 @@ class InMemorySink(Sink):
         self.events.extend(counter_events(recorder))
 
 
-class JsonlSink(Sink):
-    """Streams events to a JSONL file, one JSON object per line."""
-
-    def __init__(self, path: Union[str, pathlib.Path]) -> None:
-        self.path = pathlib.Path(path)
-        if self.path.parent != pathlib.Path("."):
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = open(self.path, "w", encoding="utf-8")
-        self._write({"type": "meta", "schema_version": SCHEMA_VERSION})
-
-    def _write(self, event: Dict[str, Any]) -> None:
-        self._handle.write(json.dumps(event, sort_keys=True, default=str) + "\n")
-
-    def on_span(self, record: SpanRecord) -> None:
-        self._write(record.to_dict())
-
-    def on_flush(self, recorder: Recorder) -> None:
-        for event in counter_events(recorder):
-            self._write(event)
-        self._handle.flush()
-
-    def close(self) -> None:
-        """Flush buffers and close the file handle."""
-        if not self._handle.closed:
-            self._handle.close()
-
-
 class JsonlAppender:
-    """Append-only JSONL writer: one locked, flushed line per document.
+    """The JSONL writer: a :func:`meta_line` header, then one locked,
+    flushed line per document.
 
-    Unlike :class:`JsonlSink` this opens in append mode (an interrupted
-    run's lines survive a retry into the same file) and serializes
-    writes under a lock, so several threads can share one file.  Every
-    line is flushed as it is written: a log that loses its tail on a
-    crash is useless exactly when it matters.  Writes after
-    :meth:`close` are dropped.  The live event stream (``--live-out``)
-    and the serve access log (``--access-log``) both write through it.
+    The lock lets several threads share one file; flushing every line
+    keeps the tail of a crashed run.  Writes after :meth:`close` are
+    dropped.  ``append`` keeps earlier sessions (``live.jsonl``, the
+    access log).  Events files truncate: span ``index``/``parent`` ids
+    restart with each recording, so two sessions in one file would
+    corrupt ``repro flame`` and ``--trace-out``.
     """
 
-    def __init__(self, path: Union[str, pathlib.Path]) -> None:
+    def __init__(
+        self,
+        path: Union[str, pathlib.Path],
+        stream: str,
+        command: Optional[str] = None,
+        append: bool = True,
+    ) -> None:
         self.path = pathlib.Path(path)
         if self.path.parent != pathlib.Path("."):
             self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = open(self.path, "a", encoding="utf-8")
+        self._handle = open(self.path, "a" if append else "w", encoding="utf-8")
         self._lock = threading.Lock()
+        self.write(meta_line(stream, command))
 
     def write(self, document: Dict[str, Any]) -> None:
         line = json.dumps(document, sort_keys=True, default=str)
@@ -140,3 +138,23 @@ class JsonlAppender:
     def __exit__(self, exc_type: object, exc: object, tb: object) -> bool:
         self.close()
         return False
+
+
+class JsonlSink(Sink):
+    """Streams recorder events to a truncated ``events`` JSONL file."""
+
+    def __init__(
+        self, path: Union[str, pathlib.Path], command: Optional[str] = None
+    ) -> None:
+        self._writer = JsonlAppender(path, "events", command, append=False)
+
+    def on_span(self, record: SpanRecord) -> None:
+        self._writer.write(record.to_dict())
+
+    def on_flush(self, recorder: Recorder) -> None:
+        for event in counter_events(recorder):
+            self._writer.write(event)
+
+    def close(self) -> None:
+        """Close the file; later events are dropped."""
+        self._writer.close()

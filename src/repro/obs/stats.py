@@ -1,24 +1,22 @@
-"""Replay a JSONL observability event file into summary tables.
+"""Replay a JSONL observability file into summary tables.
 
-This backs ``python -m repro stats <events.jsonl>``: read the events a
-:class:`~repro.obs.sinks.JsonlSink` wrote during a ``--profile`` run
-and render the same aggregate tables the live recorder would print —
-spans by name (count/total/mean), counter totals, gauges, timer and
-histogram distributions, and the top keyed-counter entries.
+This backs ``python -m repro stats <file.jsonl>`` for all three JSONL
+streams — ``--profile-json`` events, ``--live-out`` ``live.jsonl`` and
+the ``repro serve --access-log`` file — which share one envelope (see
+:mod:`repro.obs.sinks`).  One loop splits a file into sessions, one per
+``meta`` line; records before the first ``meta`` (files written before
+``schema_version`` 4) form one session without a header.  Each session
+prints one header line, ``schema_version: N  stream: S  command: C``,
+then the tables its records produce, chosen by record type: spans,
+counters, gauges, timers, histograms and keyed counters; live progress,
+slowest units and stalls; per-endpoint access latency, dispositions and
+slowest requests.
 
-``live.jsonl`` streams written by ``--live-out`` (schema v1, see
-:mod:`repro.obs.live`) replay through the same command: their
-``unit``/``progress``/``stall``/``live_summary`` events render as a
-"Live progress" section (final progress snapshot, per-unit duration
-table, and any stall reports) next to whatever classic recorder
-events the file carries.  ``--live-out`` appends, so each session in
-the file (opened by its ``live_meta``) gets its own section.
-
-Event files on disk are often imperfect — a run killed mid-write
-leaves a truncated last line — so the CLI path loads *tolerantly*:
-malformed lines are skipped and surfaced as a warning count rather
-than aborting the replay.  Programmatic callers that want hard errors
-use :func:`load_events` (strict by default).
+Files on disk are often imperfect — a run killed mid-write leaves a
+truncated last line — so the CLI path loads *tolerantly*: malformed
+lines are skipped and surfaced as a warning count rather than aborting
+the replay.  Programmatic callers that want hard errors use
+:func:`load_events` (strict by default).
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ import pathlib
 from typing import Any, Dict, List, Tuple, Union
 
 from .metrics import render_summary_rows
-from .recorder import SCHEMA_VERSION
 
 
 def _parse_lines(
@@ -74,18 +71,54 @@ def load_events_tolerant(
     return _parse_lines(path, strict=False)
 
 
+def span_events(events: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """The ``span`` records among ``events``, in file order."""
+    return [event for event in events if event["type"] == "span"]
+
+
+def split_sessions(events: List[Dict[str, Any]]) -> List[List[Dict[str, Any]]]:
+    """Split ``events`` into sessions, one per ``meta`` line.
+
+    Records before the first ``meta`` line form one session of their
+    own, without a header.
+    """
+    sessions: List[List[Dict[str, Any]]] = []
+    for event in events:
+        if event["type"] == "meta" or not sessions:
+            sessions.append([])
+        sessions[-1].append(event)
+    return sessions
+
+
 def render_stats(events: List[Dict[str, Any]], malformed: int = 0) -> str:
-    """Render loaded events as aggregate tables.
+    """Render loaded events as a header and tables per session.
 
     ``malformed`` is the count of skipped lines reported by
     :func:`load_events_tolerant`; it is surfaced as a warning line.
     """
     from ..analysis.tables import render_table  # lazy: avoids an import cycle
 
-    meta = next((e for e in events if e["type"] == "meta"), None)
-    live_meta = next((e for e in events if e["type"] == "live_meta"), None)
-    access_meta = next((e for e in events if e["type"] == "access_meta"), None)
-    spans = [e for e in events if e["type"] == "span"]
+    parts: List[str] = []
+    if malformed:
+        parts.append(f"warning: skipped {malformed} malformed line(s)")
+    for session in split_sessions(events):
+        meta = session[0] if session[0]["type"] == "meta" else {}
+        command = meta.get("command") or "-"
+        parts.append(
+            f"schema_version: {meta.get('schema_version', 'unknown')}  "
+            f"stream: {meta.get('stream', 'unknown')}  command: {command}"
+        )
+        parts.extend(_render_recorder_tables(session, render_table))
+        parts.extend(_render_live_tables(session, command, render_table))
+        parts.extend(_render_access_tables(session, command, render_table))
+    return "\n\n".join(parts)
+
+
+def _render_recorder_tables(
+    events: List[Dict[str, Any]], render_table: Any
+) -> List[str]:
+    """Span, counter, gauge, timer, histogram and keyed-counter tables."""
+    spans = span_events(events)
     counters = [e for e in events if e["type"] == "counter" and "key" not in e]
     keyed = [e for e in events if e["type"] == "counter" and "key" in e]
     gauges = [e for e in events if e["type"] == "gauge"]
@@ -93,27 +126,6 @@ def render_stats(events: List[Dict[str, Any]], malformed: int = 0) -> str:
     histograms = [e for e in events if e["type"] == "hist"]
 
     parts: List[str] = []
-    if meta:
-        header = f"events: {len(events)}  schema_version: {meta['schema_version']}"
-    elif live_meta:
-        header = (
-            f"events: {len(events)}  live_schema_version: "
-            f"{live_meta['live_schema_version']}"
-        )
-    elif access_meta:
-        header = (
-            f"events: {len(events)}  access_schema_version: "
-            f"{access_meta['access_schema_version']}"
-        )
-    else:
-        header = (
-            f"events: {len(events)}  schema_version: unknown "
-            f"(no meta line; writer predates v{SCHEMA_VERSION}?)"
-        )
-    if malformed:
-        header += f"\nwarning: skipped {malformed} malformed line(s)"
-    parts.append(header)
-
     if spans:
         aggregates: Dict[str, List[float]] = {}
         for event in spans:
@@ -152,9 +164,7 @@ def render_stats(events: List[Dict[str, Any]], malformed: int = 0) -> str:
                 title=f"Keyed counters (top {min(len(keyed), 20)} of {len(keyed)})",
             )
         )
-    parts.extend(_render_live_sections(events, render_table))
-    parts.extend(_render_access_sections(events, render_table))
-    return "\n\n".join(parts)
+    return parts
 
 
 #: Progress fields shown when replaying a live.jsonl stream, in order.
@@ -171,36 +181,14 @@ _LIVE_PROGRESS_FIELDS = (
 )
 
 
-#: Event types written by ``--live-out``; a ``live_meta`` opens a session.
-_LIVE_TYPES = frozenset(("live_meta", "unit", "stall", "live_summary", "progress"))
-
-
-def _render_live_sections(
-    events: List[Dict[str, Any]], render_table: Any
+def _render_live_tables(
+    events: List[Dict[str, Any]], command: str, render_table: Any
 ) -> List[str]:
-    """Tables for live.jsonl (schema v1) events, one set per session.
+    """Progress, slowest-units and stall tables for live records.
 
-    ``--live-out`` appends, so one file can hold several runs, each
-    opened by its own ``live_meta``.  Every session gets its own
-    progress, slowest-units and stall tables, titled with its command.
+    Each table is titled with the session's ``command``, so the
+    sessions an appending ``--live-out`` leaves in one file stay apart.
     """
-    sessions: List[List[Dict[str, Any]]] = []
-    for event in events:
-        if event["type"] in _LIVE_TYPES:
-            if event["type"] == "live_meta" or not sessions:
-                sessions.append([])
-            sessions[-1].append(event)
-    parts: List[str] = []
-    for session in sessions:
-        parts.extend(_render_live_session(session, render_table))
-    return parts
-
-
-def _render_live_session(
-    events: List[Dict[str, Any]], render_table: Any
-) -> List[str]:
-    live_meta = events[0] if events[0]["type"] == "live_meta" else {}
-    command = live_meta.get("command", "?")
     summary = next(
         (e for e in reversed(events) if e["type"] in ("live_summary", "progress")),
         None,
@@ -276,17 +264,17 @@ def _percentile(sorted_values: List[float], fraction: float) -> float:
     return sorted_values[index]
 
 
-def _render_access_sections(
-    events: List[Dict[str, Any]], render_table: Any
+def _render_access_tables(
+    events: List[Dict[str, Any]], command: str, render_table: Any
 ) -> List[str]:
-    """Tables for serve access-log (schema v1) events, if any.
+    """Tables for serve access records, if any.
 
     Replays a ``--access-log`` file offline: per-endpoint request
     counts and latency quantiles, status and disposition breakdowns,
     and the slowest individual requests with their trace ids (the ids
     key into ``GET /v1/traces/<id>`` while the service is still up).
     """
-    accesses = [e for e in events if e.get("type") == "access"]
+    accesses = [e for e in events if e["type"] == "access"]
     if not accesses:
         return []
     parts: List[str] = []
@@ -312,7 +300,7 @@ def _render_access_sections(
         render_table(
             ["endpoint", "requests", "5xx", "p50 ms", "p99 ms", "max ms"],
             rows,
-            title=f"Access log ({len(accesses)} requests)",
+            title=f"Access log ({command}, {len(accesses)} requests)",
         )
     )
     breakdown: Dict[Tuple[Any, Any], int] = {}

@@ -32,7 +32,6 @@ that sheds overload as ``429 Retry-After``.
 
 from __future__ import annotations
 
-from .accesslog import ACCESS_SCHEMA_VERSION, AccessLog
 from .app import SERVE_SCHEMA_VERSION, Application, BadRequest, endpoint_template
 from .dispatch import DEFAULT_QUEUE_LIMIT, Backpressure, Dispatcher
 from .slo import (
@@ -54,8 +53,6 @@ from .http import (
 )
 
 __all__ = [
-    "ACCESS_SCHEMA_VERSION",
-    "AccessLog",
     "Application",
     "BackgroundServer",
     "Backpressure",

@@ -51,7 +51,7 @@ from ..obs.reqtrace import (
     parse_traceparent,
     using_trace,
 )
-from .accesslog import AccessLog
+from ..obs.sinks import JsonlAppender
 from .dispatch import Backpressure, Dispatcher
 from .http import Request, Response, json_response
 from .slo import SLORegistry
@@ -185,7 +185,7 @@ class Application:
         workers: int = 1,
         traces: Optional[TraceBuffer] = None,
         slo: Optional[SLORegistry] = None,
-        access_log: Optional[AccessLog] = None,
+        access_log: Optional[JsonlAppender] = None,
     ) -> None:
         self.dispatcher = dispatcher if dispatcher is not None else Dispatcher()
         self.suite = suite if suite is not None else MetricsSuite()
@@ -426,18 +426,25 @@ class Application:
         if breached:
             _obs.incr_keyed("serve.slo_breaches", endpoint)
         if self.access_log is not None:
-            self.access_log.record(
-                trace_id=trace.trace_id,
-                span_id=trace.root_span_id,
-                method=request.method,
-                path=request.path,
-                endpoint=endpoint,
-                status=response.status,
-                disposition=trace.disposition,
-                queue_wait_ms=trace.span_total_ms("dispatch.queue"),
-                handler_ms=handler_ms,
-                duration_ms=trace.duration_ms,
-                error=error_text,
+            queue_wait_ms = trace.span_total_ms("dispatch.queue")
+            self.access_log.write(
+                {
+                    "type": "access",
+                    "unix_s": round(time.time(), 3),
+                    "trace_id": trace.trace_id,
+                    "span_id": trace.root_span_id,
+                    "method": request.method,
+                    "path": request.path,
+                    "endpoint": endpoint,
+                    "status": response.status,
+                    "disposition": trace.disposition,
+                    "queue_wait_ms": None
+                    if queue_wait_ms is None
+                    else round(queue_wait_ms, 3),
+                    "handler_ms": round(handler_ms, 3),
+                    "duration_ms": round(trace.duration_ms, 3),
+                    "error": error_text,
+                }
             )
         return response
 

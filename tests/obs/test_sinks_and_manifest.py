@@ -42,7 +42,21 @@ class TestJsonlRoundTrip:
         path = tmp_path / "events.jsonl"
         _record_sample_run(path)
         first = json.loads(path.read_text().splitlines()[0])
-        assert first == {"type": "meta", "schema_version": SCHEMA_VERSION}
+        assert isinstance(first.pop("unix_s"), float)
+        assert first == {
+            "type": "meta",
+            "schema_version": SCHEMA_VERSION,
+            "stream": "events",
+            "command": None,
+            "provenance": run_provenance(),
+        }
+
+    def test_rerun_truncates_the_previous_session(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        _record_sample_run(path)
+        _record_sample_run(path)
+        events = load_events(path)
+        assert [event["type"] for event in events].count("meta") == 1
 
     def test_events_replay_into_tables(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -55,7 +69,7 @@ class TestJsonlRoundTrip:
         assert "pipeline" in text
         assert "maxis.exact.solves" in text
         assert "a->b" in text
-        assert f"schema_version: {SCHEMA_VERSION}" in text
+        assert f"schema_version: {SCHEMA_VERSION}  stream: events" in text
 
     def test_render_stats_file_reads_path(self, tmp_path):
         path = tmp_path / "events.jsonl"

@@ -22,13 +22,14 @@ FAST_SWEEP = ["theorem2", "--max-t", "3", "--samples", "10"]
 
 
 class TestLiveOut:
-    def test_live_out_streams_schema_v1(self, tmp_path, capsys):
+    def test_live_out_streams_v4_envelope(self, tmp_path, capsys):
         path = tmp_path / "live.jsonl"
         assert main(FAST_SWEEP + ["--live-out", str(path)]) == 0
         capsys.readouterr()
         events = [json.loads(line) for line in path.read_text().splitlines()]
-        assert events[0]["type"] == "live_meta"
-        assert events[0]["live_schema_version"] == 1
+        assert events[0]["type"] == "meta"
+        assert events[0]["schema_version"] == 4
+        assert events[0]["stream"] == "live"
         assert events[0]["command"] == "theorem2"
         summary = events[-1]
         assert summary["type"] == "live_summary"

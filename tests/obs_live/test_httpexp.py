@@ -12,7 +12,7 @@ from repro.obs.httpexp import (
     sanitize_metric_name,
 )
 from repro.obs.live import LiveMonitor
-from repro.obs.recorder import Recorder
+from repro.obs.recorder import SCHEMA_VERSION, Recorder
 from repro.serve.http import BackgroundServer, suite_handler
 
 
@@ -206,7 +206,7 @@ class TestMetricsServer:
         assert headers["Content-Type"] == "application/json"
         document = json.loads(body)
         assert document["active"] is True
-        assert document["live_schema_version"] == 1
+        assert document["schema_version"] == SCHEMA_VERSION
         assert document["units_total"] == 2
         assert document["stalls"] == []
 
@@ -246,7 +246,7 @@ class TestMetricsServer:
             _, _, body = fetch(f"{server.url}/progress")
             assert json.loads(body) == {
                 "active": False,
-                "live_schema_version": 1,
+                "schema_version": SCHEMA_VERSION,
             }
         finally:
             server.close()

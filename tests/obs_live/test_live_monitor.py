@@ -5,8 +5,8 @@ import threading
 
 import pytest
 
+from repro.obs import SCHEMA_VERSION, run_provenance
 from repro.obs.live import (
-    LIVE_SCHEMA_VERSION,
     LiveMonitor,
     get_monitor,
     serial_worker_id,
@@ -169,7 +169,7 @@ class FakeClock:
 
 
 class TestJsonlStream:
-    def test_schema_v1_event_stream(self, tmp_path):
+    def test_event_stream_opens_with_envelope(self, tmp_path):
         path = tmp_path / "live.jsonl"
         monitor = quiet_monitor(jsonl_path=path, progress_interval_s=60.0)
         monitor.sweep_started(1)
@@ -177,10 +177,13 @@ class TestJsonlStream:
         monitor.unit_finished("u", worker=9, duration_s=0.125)
         monitor.close()
         events = [json.loads(line) for line in path.read_text().splitlines()]
+        assert isinstance(events[0].pop("unix_s"), float)
         assert events[0] == {
-            "type": "live_meta",
-            "live_schema_version": LIVE_SCHEMA_VERSION,
+            "type": "meta",
+            "schema_version": SCHEMA_VERSION,
+            "stream": "live",
             "command": "test",
+            "provenance": run_provenance(),
         }
         assert events[-1]["type"] == "live_summary"
         assert events[-1]["units_done"] == 1
@@ -206,7 +209,7 @@ class TestJsonlStream:
         metas = [
             json.loads(line)
             for line in path.read_text().splitlines()
-            if json.loads(line)["type"] == "live_meta"
+            if json.loads(line)["type"] == "meta"
         ]
         assert len(metas) == 2  # append mode: the first run survives
 

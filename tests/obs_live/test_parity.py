@@ -60,7 +60,7 @@ class TestBackendParity:
 
         serial_schema = schema(serial_events)
         pool_schema = schema(pool_events)
-        assert set(serial_schema) == {"live_meta", "progress", "unit", "live_summary"}
+        assert set(serial_schema) == {"meta", "progress", "unit", "live_summary"}
         assert serial_schema == pool_schema
 
     def test_both_backends_account_every_unit(self, tmp_path):

@@ -1,11 +1,18 @@
 """Shared fixtures: one in-process server + a tiny urllib client."""
 
 import json
+import os
+import pathlib
+import re
+import signal
+import subprocess
+import sys
 import urllib.error
 import urllib.request
 
 import pytest
 
+import repro
 from repro.serve import Application, BackgroundServer, Dispatcher
 
 
@@ -65,3 +72,42 @@ def served_tiny_queue():
     finally:
         server.close()
         app.close()
+
+
+def serve_session(access_log, paths):
+    """Run ``repro serve --access-log`` as a subprocess for a few GETs.
+
+    Starts the CLI on an ephemeral port, requests each of ``paths``,
+    then stops it with SIGINT and checks it exits 0.
+    """
+    env = dict(os.environ)
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (src, env.get("PYTHONPATH")) if part
+    )
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve", "--port", "0",
+            "--access-log", str(access_log),
+        ],
+        env=env,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        url = None
+        for _ in range(5):
+            match = re.search(r"\[serve: (http://[^\]]+)\]", proc.stderr.readline())
+            if match:
+                url = match.group(1)
+                break
+        assert url, "repro serve never announced its URL"
+        for path in paths:
+            with urllib.request.urlopen(url + path, timeout=30) as response:
+                response.read()
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=15) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)

@@ -199,4 +199,4 @@ class TestRouting:
     def test_progress_is_json(self, served):
         status, document = served.get_json("/progress")
         assert status == 200
-        assert "live_schema_version" in document
+        assert "schema_version" in document
