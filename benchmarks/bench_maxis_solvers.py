@@ -3,8 +3,7 @@
 The exact solver is what makes every upper-bound claim verifiable; this
 bench times it on the gadget shape (dense, clique-structured) and on
 G(n, p) instances, charts how far the greedy heuristics fall short, and
-compares the kernelized default against the ``--no-kernel`` raw path
-(see ``docs/SOLVER.md``).
+times the standalone kernelization on its own (see ``docs/SOLVER.md``).
 """
 
 import random
@@ -30,15 +29,6 @@ def test_bench_exact_solver_on_gadget(benchmark):
     stats = BranchAndBoundStats()
     result = benchmark(max_weight_independent_set, construction.graph, stats)
     assert result.weight > 0
-
-
-def test_bench_exact_solver_no_kernel_on_gadget(benchmark):
-    """The same instance through the raw branch-and-bound path."""
-    construction = LinearConstruction(GadgetParameters(ell=6, alpha=1, t=5))
-    result = benchmark(
-        max_weight_independent_set, construction.graph, kernel=False
-    )
-    assert result.weight == max_weight_independent_set(construction.graph).weight
 
 
 def test_bench_exact_solver_on_random(benchmark):
@@ -72,18 +62,6 @@ def test_bench_kernelize_reducible(benchmark):
     kern = benchmark(kernelize_cold)
     assert kern.num_reduced_nodes == 0
     assert kern.stats.removed_nodes == 60
-
-
-def test_bench_kernel_on_vs_off_reducible(benchmark):
-    """Kernel-on solve of the reducible path (compare with _no_kernel twin)."""
-
-    def solve_on():
-        return max_weight_independent_set(_reducible_path(), kernel=True)
-
-    result = benchmark(solve_on)
-    assert result.weight == max_weight_independent_set(
-        _reducible_path(), kernel=False
-    ).weight
 
 
 def test_bench_brute_force_oracle(benchmark):

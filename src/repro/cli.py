@@ -25,13 +25,6 @@ out to N worker processes via :mod:`repro.parallel`; output is
 guaranteed identical to the serial run.  ``bench --workers N`` sets the
 worker count the ``sweep_parallel`` scaling bench measures.
 
-Solver (see ``docs/SOLVER.md``): every command that computes MaxIS
-optima (``claims``, ``theorem1``, ``theorem2``, ``report``, ``bench``)
-runs the kernelization front-end by default — exactness-preserving
-reduction rules whose witnesses are lifted back through a fold log —
-and accepts ``--no-kernel`` to branch-and-bound on the raw graph
-instead; reported optima are identical either way.
-
 Caching (see ``docs/CACHING.md``): the sweep commands and ``bench``
 accept ``--cache=off|memory|disk`` (plus ``--cache-dir``) to memoize
 gadget graphs, code tables, MaxIS optima, and whole sweep units in the
@@ -77,6 +70,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import pathlib
 import random
 import sys
@@ -156,32 +150,6 @@ def _cached(args: argparse.Namespace) -> Iterator[None]:
     with store.using_store(
         getattr(args, "cache", "off"), path=getattr(args, "cache_dir", None)
     ):
-        yield
-
-
-def _add_kernel_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--no-kernel",
-        action="store_true",
-        help=(
-            "solve MaxIS instances without the kernelization front-end "
-            "(escape hatch; results are identical, see docs/SOLVER.md)"
-        ),
-    )
-
-
-@contextlib.contextmanager
-def _kernelled(args: argparse.Namespace) -> Iterator[None]:
-    """Apply ``--no-kernel`` to the ambient MaxIS kernel switch.
-
-    Scoped, not global: the default is restored when the command body
-    exits, so library callers embedding :func:`main` are unaffected.
-    Worker processes inherit the switch via the pool initializer (see
-    :mod:`repro.parallel.backends`).
-    """
-    from .maxis import using_kernel
-
-    with using_kernel(not getattr(args, "no_kernel", False)):
         yield
 
 
@@ -529,7 +497,7 @@ def cmd_claims(args: argparse.Namespace) -> int:
     from .parallel import claims_checks
 
     params = _params(args)
-    with _kernelled(args), _cached(args), _deep_profiled(args), _live(args):
+    with _cached(args), _deep_profiled(args), _live(args):
         checks = claims_checks(
             params,
             num_samples=args.samples,
@@ -558,7 +526,7 @@ def cmd_theorem1(args: argparse.Namespace) -> int:
 
     rows = []
     exit_code = 0
-    with _kernelled(args), _cached(args), _deep_profiled(args), _profiled(
+    with _cached(args), _deep_profiled(args), _profiled(
         args
     ) as recorder, _live(args) as monitor:
         recorder = _live_recorder(recorder, monitor)
@@ -607,7 +575,7 @@ def cmd_theorem2(args: argparse.Namespace) -> int:
 
     rows = []
     exit_code = 0
-    with _kernelled(args), _cached(args), _deep_profiled(args), _profiled(
+    with _cached(args), _deep_profiled(args), _profiled(
         args
     ) as recorder, _live(args) as monitor:
         recorder = _live_recorder(recorder, monitor)
@@ -923,7 +891,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     warmup, repeats = args.warmup, args.repeats
     if args.fast:
         warmup, repeats = 1, 3
-    with _kernelled(args), _cached(args), _deep_profiled(args), _live(args):
+    with _cached(args), _deep_profiled(args), _live(args):
         path, trajectory = runner.run_suite(
             warmup=warmup,
             repeats=repeats,
@@ -1004,7 +972,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from .core import run_reproduction_suite
 
-    with _kernelled(args), _profiled(args):
+    with _profiled(args):
         suite = run_reproduction_suite(
             max_t=args.max_t, num_samples=args.samples, seed=args.seed
         )
@@ -1205,7 +1173,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.access_log:
         access_log = JsonlAppender(args.access_log, "access", "serve")
         print(f"[access log: {access_log.path}]", file=sys.stderr, flush=True)
-    with _kernelled(args), _cached(args), _recording_enabled():
+    with _cached(args), _recording_enabled():
         monitor = obs.LiveMonitor(command="serve", render=False)
         dispatcher = Dispatcher(queue_limit=args.queue_limit)
         app = Application(
@@ -1253,7 +1221,6 @@ def build_parser() -> argparse.ArgumentParser:
     claims.add_argument("--samples", type=int, default=3)
     claims.add_argument("--quadratic", action="store_true")
     claims.add_argument("--json", action="store_true")
-    _add_kernel_arg(claims)
     _add_workers_arg(claims)
     _add_cache_args(claims)
     _add_live_args(claims)
@@ -1265,7 +1232,6 @@ def build_parser() -> argparse.ArgumentParser:
     theorem1.add_argument("--samples", type=int, default=2)
     theorem1.add_argument("--seed", type=int, default=0)
     theorem1.add_argument("--json", action="store_true")
-    _add_kernel_arg(theorem1)
     _add_workers_arg(theorem1)
     _add_profile_args(theorem1)
     _add_cache_args(theorem1)
@@ -1278,7 +1244,6 @@ def build_parser() -> argparse.ArgumentParser:
     theorem2.add_argument("--samples", type=int, default=2)
     theorem2.add_argument("--seed", type=int, default=0)
     theorem2.add_argument("--json", action="store_true")
-    _add_kernel_arg(theorem2)
     _add_workers_arg(theorem2)
     _add_profile_args(theorem2)
     _add_cache_args(theorem2)
@@ -1315,7 +1280,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--samples", type=int, default=2)
     report.add_argument("--seed", type=int, default=0)
     report.add_argument("--json", action="store_true")
-    _add_kernel_arg(report)
     _add_profile_args(report)
     report.set_defaults(func=cmd_report)
 
@@ -1423,7 +1387,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(default min(4, cpu count))"
         ),
     )
-    _add_kernel_arg(bench)
     _add_cache_args(bench)
     _add_live_args(bench)
     _add_deepprof_args(bench)
@@ -1570,17 +1533,31 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_cache_args(serve)
-    _add_kernel_arg(serve)
     serve.set_defaults(func=cmd_serve)
 
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point; returns the process exit code."""
+    """Entry point; returns the process exit code.
+
+    A reader that closes stdout early (``repro figures | head -1``) ends
+    the command quietly with exit code 1.  The rest of the output goes
+    to the null device, so the interpreter's final flush cannot raise
+    ``BrokenPipeError`` again.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):
+            pass  # stdout has no descriptor (captured): nothing to flush
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

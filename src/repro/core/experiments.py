@@ -4,7 +4,8 @@ Each experiment assembles the full chain the paper's proof describes:
 
 1. pick parameters and build the construction,
 2. sample inputs from both promise sides,
-3. solve MaxIS exactly on every instance (the gap measurement),
+3. solve MaxIS exactly on every instance (the gap measurement), each
+   search starting from the paper's own set on that side,
 4. check the claimed thresholds,
 5. measure the cut and evaluate Corollary 1's round lower bound.
 
@@ -28,6 +29,8 @@ from ..gadgets import (
     GadgetParameters,
     LinearMaxISFamily,
     QuadraticMaxISFamily,
+    heaviest_claim6_set,
+    heaviest_property1_set,
     linear_intersecting_witness,
     quadratic_intersecting_witness,
 )
@@ -195,8 +198,12 @@ class LinearLowerBoundExperiment:
                 with _obs.span("experiment.sample"):
                     inputs = pairwise_disjoint_inputs(params.k, params.t, rng=rng)
                     graph = self.family.build(inputs)
+                    # The heaviest Property 1 set: a lower bound on OPT.
+                    witness = heaviest_property1_set(construction, graph)
                 with _obs.span("experiment.solve"):
-                    disjoint.append(max_weight_independent_set(graph).weight)
+                    disjoint.append(
+                        max_weight_independent_set(graph, incumbent=witness).weight
+                    )
 
             with _obs.span("experiment.check"):
                 gap = GapMeasurement(
@@ -267,8 +274,13 @@ class QuadraticLowerBoundExperiment:
                 with _obs.span("experiment.sample"):
                     inputs = pairwise_disjoint_inputs(length, params.t, rng=rng)
                     graph = self.family.build(inputs)
+                    # The heaviest Claim 6 set, conflicts dropped: a
+                    # lower bound on OPT.
+                    witness = heaviest_claim6_set(construction, graph)
                 with _obs.span("experiment.solve"):
-                    disjoint.append(max_weight_independent_set(graph).weight)
+                    disjoint.append(
+                        max_weight_independent_set(graph, incumbent=witness).weight
+                    )
 
             with _obs.span("experiment.check"):
                 gap = GapMeasurement(

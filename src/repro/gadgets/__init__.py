@@ -43,6 +43,8 @@ from .witnesses import (
     check_property2,
     check_property3,
     corollary2_bound,
+    heaviest_claim6_set,
+    heaviest_property1_set,
     linear_intersecting_witness,
     property1_witness,
     property2_matching_size,
@@ -76,6 +78,8 @@ __all__ = [
     "feasible_parameter_sweep",
     "figure_parameters",
     "fixed_graph_key_params",
+    "heaviest_claim6_set",
+    "heaviest_property1_set",
     "is_clique_node",
     "is_code_node",
     "linear_clique_node",

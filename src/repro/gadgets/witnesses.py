@@ -69,6 +69,74 @@ def quadratic_intersecting_witness(
     return witness
 
 
+def heaviest_property1_set(
+    construction: LinearConstruction, graph: WeightedGraph
+) -> Set[Node]:
+    """The heaviest Property 1 set in ``graph`` (a ``G_x``) over all ``m``.
+
+    ``G_x`` only reweights ``G``, so every Property 1 set is independent
+    in it; on the disjoint side the heaviest one is a lower bound on
+    OPT for the search to start from.  One weight pass per index, in
+    ``graph``'s live weights; the lowest ``m`` wins a tie, and only the
+    winning set is built.
+    """
+    weight = graph.weight
+    best_index, best_weight = 0, -1.0
+    for m in range(construction.params.k):
+        total = 0
+        for i in range(construction.params.t):
+            total += weight(construction.a_node(i, m))
+            total += sum(map(weight, construction.code_set(i, m)))
+        if total > best_weight:
+            best_index, best_weight = m, total
+    return property1_witness(construction, best_index)
+
+
+def heaviest_claim6_set(
+    construction: QuadraticConstruction, graph: WeightedGraph
+) -> Set[Node]:
+    """The heaviest Claim 6 set in ``graph`` (an ``F_x``) over all pairs.
+
+    For a pair ``(m1, m2)`` the set is Claim 6's, less every
+    ``v^(i,2)_{m2}`` adjacent to ``v^(i,1)_{m1}`` in ``graph``: those
+    input edges are the only ones ``F_x`` adds to ``F``, so what is left
+    is independent.  On the disjoint side the heaviest such set is a
+    lower bound on OPT for the search to start from.  One weight pass
+    per index of each copy, then one adjacency test per player and pair;
+    the first pair in ``(m1, m2)`` order wins a tie, and only the
+    winning set is built.
+    """
+    t, k = construction.params.t, construction.params.k
+    weight = graph.weight
+
+    def side_weight(copy: int, m: int) -> float:
+        return sum(
+            weight(construction.a_node(i, copy, m))
+            + sum(map(weight, construction.code_set(i, copy, m)))
+            for i in range(t)
+        )
+
+    left = [side_weight(0, m) for m in range(k)]
+    right = [side_weight(1, m) for m in range(k)]
+    best, best_weight = (0, 0, []), -1.0
+    for m1 in range(k):
+        for m2 in range(k):
+            dropped = [
+                construction.a_node(i, 1, m2)
+                for i in range(t)
+                if graph.has_edge(
+                    construction.a_node(i, 0, m1), construction.a_node(i, 1, m2)
+                )
+            ]
+            total = left[m1] + right[m2] - sum(map(weight, dropped))
+            if total > best_weight:
+                best, best_weight = (m1, m2, dropped), total
+    m1, m2, dropped = best
+    witness = quadratic_intersecting_witness(construction, m1, m2)
+    witness.difference_update(dropped)
+    return witness
+
+
 # ----------------------------------------------------------------------
 # Property checkers
 # ----------------------------------------------------------------------

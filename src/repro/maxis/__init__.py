@@ -23,10 +23,7 @@ from .kernel import (
     FoldedVertex,
     Kernelization,
     KernelStats,
-    kernel_default_enabled,
     kernelize,
-    set_kernel_default,
-    using_kernel,
 )
 from .result import IndependentSetResult, approximation_ratio
 from .vertex_cover import (
@@ -54,7 +51,6 @@ __all__ = [
     "greedy_by_weight_degree_ratio",
     "improve_by_swaps",
     "is_vertex_cover",
-    "kernel_default_enabled",
     "kernelize",
     "local_optima_over_partition",
     "matching_vertex_cover",
@@ -63,6 +59,4 @@ __all__ = [
     "max_weight_independent_set",
     "min_weight_vertex_cover",
     "random_maximal_independent_set",
-    "set_kernel_default",
-    "using_kernel",
 ]

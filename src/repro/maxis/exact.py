@@ -6,18 +6,17 @@ actually computing the optimum on concrete gadget instances, so the
 solver has to be exact, and fast on the gadget shape: dense graphs that
 are near-unions of cliques.
 
-The pipeline is kernelize-then-branch: :mod:`repro.maxis.kernel` shrinks
-the instance with exactness-preserving reduction rules (the witness is
-lifted back through the fold log afterwards), then a bitset
-branch-and-bound with a greedy weighted clique-cover upper bound solves
-the kernel.  A clique contributes at most its heaviest member to any
-independent set, so the cover bound collapses to almost the true optimum
-on clique-structured graphs — exactly our instances.  Covers are
-*inherited* down the search tree and rebuilt only once the candidate set
-has shrunk enough for a fresh cover to pay for itself.  A plain
-exponential brute force (:mod:`repro.maxis.brute_force`) cross-checks
-everything in tests, and ``--no-kernel`` (or ``kernel=False``) falls
-back to branch-and-bound on the raw graph.
+The solver is one bitset branch-and-bound over the graph's cached
+:meth:`~repro.graphs.WeightedGraph.solver_index_form`, with a greedy
+weighted clique-cover upper bound.  A clique contributes at most its
+heaviest member to any independent set, so the cover bound collapses to
+almost the true optimum on clique-structured graphs — exactly our
+instances.  Covers are *inherited* down the search tree and rebuilt only
+once the candidate set has shrunk enough for a fresh cover to pay for
+itself.  A plain exponential brute force
+(:mod:`repro.maxis.brute_force`) and networkx cross-check everything in
+tests.  The reduction rules of :mod:`repro.maxis.kernel` are not on this
+path: they never fire on the gadget graphs (docs/SOLVER.md).
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from typing import Iterable, List, Optional, Tuple
 
 from ..graphs import Node, WeightedGraph
 from ..obs import get_recorder
-from .kernel import kernel_default_enabled, kernelize
 from .result import IndependentSetResult
 
 _obs = get_recorder()
@@ -67,8 +65,8 @@ class BranchAndBoundStats:
 
 
 def _validate_weights(graph: WeightedGraph) -> None:
-    # Validated straight off the weight map, before any index-form or
-    # kernel structure is built or touched.
+    # Validated straight off the weight map, before any index-form
+    # structure is built or touched.
     for weight in graph.weights().values():
         if weight < 0:
             raise ValueError("negative node weights are not supported")
@@ -77,7 +75,6 @@ def _validate_weights(graph: WeightedGraph) -> None:
 def max_weight_independent_set(
     graph: WeightedGraph,
     stats: Optional[BranchAndBoundStats] = None,
-    kernel: Optional[bool] = None,
     incumbent: Optional[Iterable[Node]] = None,
 ) -> IndependentSetResult:
     """Return a maximum-weight independent set of ``graph``.
@@ -86,28 +83,20 @@ def max_weight_independent_set(
     are dense (the gadget regime); see the solver bench for measured
     scaling.
 
-    ``kernel`` selects the kernelized path (reduction rules + fold-log
-    witness lifting, see :mod:`repro.maxis.kernel`); it defaults to the
-    ambient kernel switch (on unless ``--no-kernel`` /
-    :func:`repro.maxis.kernel.using_kernel` turned it off).  Both paths
-    return the same optimum; the witness *node set* is deterministic per
-    path (fixed branching order, strict-improvement updates), and on
-    instances the kernel leaves untouched the two paths run the
-    identical search, so their witnesses coincide exactly — the
-    regression pins compare sorted witness lists kernel-on vs -off.
+    The witness *node set* is deterministic: a fixed branching order
+    and strict-improvement updates make it the first optimum in DFS
+    order, which the regression pins compare as sorted node lists.
 
     ``incumbent`` is an optional hint: a node set the caller already
     knows, such as the paper's witness for the high side of a gap.  If
     it is independent in ``graph``, the search starts just below its
     weight instead of from nothing, which prunes more and never changes
     the returned witness (see :func:`_solve_ordered_masks`).  Anything
-    else is ignored, and so is the hint when a kernel rule fires.  The
-    hint is not part of the store key.
+    else is ignored.  The hint is not part of the store key.
 
     Optima are memoized as witness node sets under ``maxis.solution``
-    when the result store is configured.  The key covers the kernel flag
-    and fingerprints the kernel module, so cached witnesses can never
-    alias across kernel on/off or across kernel-rule changes.  A cached
+    when the result store is configured.  The key fingerprints the
+    solver modules, so a solver change never reads an older witness.  A cached
     witness is re-wrapped in :class:`IndependentSetResult`, whose
     constructor re-validates independence and recomputes the weight
     against the *live* graph, so a hit can never return an invalid set —
@@ -115,20 +104,17 @@ def max_weight_independent_set(
     """
     from ..store import MAXIS_MODULES, MISS, get_store
 
-    use_kernel = kernel_default_enabled() if kernel is None else bool(kernel)
     store = get_store()
     if store is None:
-        return _solve(graph, stats, use_kernel, incumbent)
-    key = store.key_for(
-        "maxis.solution", {"graph": graph, "kernel": use_kernel}, MAXIS_MODULES
-    )
+        return _solve(graph, stats, incumbent)
+    key = store.key_for("maxis.solution", {"graph": graph}, MAXIS_MODULES)
     nodes = store.get(key)
     if nodes is not MISS:
         try:
             return IndependentSetResult(graph, nodes)
         except (KeyError, ValueError):
             pass  # witness doesn't fit this graph: recompute below
-    result = _solve(graph, stats, use_kernel, incumbent)
+    result = _solve(graph, stats, incumbent)
     store.put(key, "maxis.solution", "node_list", list(result.nodes))
     return result
 
@@ -136,14 +122,25 @@ def max_weight_independent_set(
 def _solve(
     graph: WeightedGraph,
     stats: Optional[BranchAndBoundStats],
-    use_kernel: bool,
     incumbent: Optional[Iterable[Node]],
 ) -> IndependentSetResult:
     _validate_weights(graph)
     seed = _incumbent_seed(graph, incumbent)
-    if use_kernel:
-        return _kernelized_branch_and_bound(graph, stats, seed)
-    return _branch_and_bound(graph, stats, seed)
+    # The cached solver index form is already in branching order
+    # (descending weight, then degree) with masks built against it — no
+    # per-bit remap pass, and repeat solves on the same graph skip the
+    # build entirely.
+    node_list, weights, masks, _ = graph.solver_index_form()
+    n = len(node_list)
+    if n == 0:
+        return IndependentSetResult(graph, [])
+    stats = stats or BranchAndBoundStats()
+    with _obs.span("maxis.exact.search", n=n):
+        best_weight, best_set = _solve_ordered_masks(weights, masks, stats, seed)
+    _record_solve(stats)
+    return IndependentSetResult(
+        graph, [node_list[pos] for pos in range(n) if (best_set >> pos) & 1]
+    )
 
 
 def _incumbent_seed(
@@ -165,54 +162,6 @@ def _incumbent_seed(
         return -1.0
     weight = float(graph.total_weight(nodes))
     return weight - (abs(weight) + 1.0) * _SEED_MARGIN
-
-
-def _kernelized_branch_and_bound(
-    graph: WeightedGraph,
-    stats: Optional[BranchAndBoundStats],
-    seed: float,
-) -> IndependentSetResult:
-    kern = kernelize(graph)
-    labels, weights, masks = kern.reduced_index_form()
-    if not kern.is_identity:
-        # The seed weighs the incumbent in the original graph.  Once a
-        # rule has included, dropped or folded nodes, the kernel's
-        # optimum is lower by what the rules fixed, so drop the seed.
-        seed = -1.0
-    stats = stats or BranchAndBoundStats()
-    with _obs.span("maxis.exact.search", n=len(labels)):
-        best_weight, best_set = _solve_ordered_masks(weights, masks, stats, seed)
-    _record_solve(stats)
-    reduced_chosen = [
-        labels[pos] for pos in range(len(labels)) if (best_set >> pos) & 1
-    ]
-    if kern.is_identity:
-        # No rule fired: the "kernel witness" already names original
-        # nodes; skip replaying the (empty) fold log.
-        return IndependentSetResult(graph, reduced_chosen)
-    return IndependentSetResult(graph, kern.lift(reduced_chosen))
-
-
-def _branch_and_bound(
-    graph: WeightedGraph,
-    stats: Optional[BranchAndBoundStats],
-    seed: float,
-) -> IndependentSetResult:
-    # The cached solver index form is already in branching order
-    # (descending weight, then degree) with masks built against it — no
-    # per-bit remap pass, and repeat solves on the same graph skip the
-    # build entirely.
-    node_list, weights, masks, _ = graph.solver_index_form()
-    n = len(node_list)
-    if n == 0:
-        return IndependentSetResult(graph, [])
-    stats = stats or BranchAndBoundStats()
-    with _obs.span("maxis.exact.search", n=n):
-        best_weight, best_set = _solve_ordered_masks(weights, masks, stats, seed)
-    _record_solve(stats)
-    return IndependentSetResult(
-        graph, [node_list[pos] for pos in range(n) if (best_set >> pos) & 1]
-    )
 
 
 def _record_solve(stats: BranchAndBoundStats) -> None:
@@ -278,8 +227,7 @@ def _solve_ordered_masks(
     first optimum in DFS order (include branch first); because updates
     happen only on strict improvement, any *sound* pruning strategy —
     however strong — leaves it unchanged, so tuning the rebuild ratio
-    can never change a witness.  The kernel-on/off determinism pins
-    rely on this.
+    can never change a witness.  The regression pins rely on this.
 
     ``seed`` is the incumbent weight the search starts from (-1.0: none,
     as every weight is non-negative).  Any seed strictly below the

@@ -1,6 +1,9 @@
-"""Kernelization front-end for the exact MaxIS solver.
+"""Kernelization: exactness-preserving weighted-MaxIS reduction rules.
 
-Before branch-and-bound runs, the instance is shrunk by classic
+A standalone reduction that no solver calls: the rules below never fire
+on the gadget graphs (minimum degree at least 3, twin-free interiors),
+so :func:`~repro.maxis.exact.max_weight_independent_set` searches the
+graph as it is.  :func:`kernelize` shrinks an instance by classic
 weighted-MaxIS reduction rules.  Every rule is *exactness-preserving*:
 an optimal witness on the kernel lifts back to an optimal witness on the
 original graph via the fold log.  The rules (``w`` denotes node weight,
@@ -55,14 +58,10 @@ The kernel operates directly on the graph's cached
 non-reducible instance (the dense gadget regime) costs a few linear
 scans and no copies.  Finished kernelizations are themselves cached in
 the graph's mutation-invalidated :meth:`~WeightedGraph.derived_cache`.
-
-The module also owns the ambient kernel on/off default that backs the
-``--no-kernel`` CLI escape hatch (see :func:`using_kernel`).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Dict, Iterator, List, Set, Tuple
 
 from ..graphs import Node, WeightedGraph
@@ -78,36 +77,6 @@ _obs = get_recorder()
 SUBSET_SWEEP_LIMIT = 32
 
 _KERNELIZATION_CACHE_KEY = "maxis.kernelization"
-
-
-# ----------------------------------------------------------------------
-# Ambient default for the kernel switch (the --no-kernel escape hatch)
-# ----------------------------------------------------------------------
-
-_KERNEL_DEFAULT = True
-
-
-def kernel_default_enabled() -> bool:
-    """Return whether ``max_weight_independent_set`` kernelizes by default."""
-    return _KERNEL_DEFAULT
-
-
-def set_kernel_default(enabled: bool) -> None:
-    """Set the process-global kernel default (workers get it via initargs)."""
-    global _KERNEL_DEFAULT
-    _KERNEL_DEFAULT = bool(enabled)
-
-
-@contextmanager
-def using_kernel(enabled: bool) -> Iterator[None]:
-    """Scoped override of the kernel default; restores the prior value."""
-    global _KERNEL_DEFAULT
-    previous = _KERNEL_DEFAULT
-    _KERNEL_DEFAULT = bool(enabled)
-    try:
-        yield
-    finally:
-        _KERNEL_DEFAULT = previous
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +298,7 @@ class Kernelization:
         independent set of its pre-state, so an optimal kernel witness
         lifts to an optimal witness on the original graph.  The returned
         list follows the original graph's node insertion order, making
-        witnesses byte-stable across kernel on/off runs.
+        lifted witnesses byte-stable.
         """
         chosen: Set[Node] = set(reduced_nodes)
         for op in reversed(self._log):

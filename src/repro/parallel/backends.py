@@ -58,7 +58,6 @@ import time
 from typing import AbstractSet, Any, Dict, List, Optional, Sequence, Set
 
 from .. import obs
-from ..maxis.kernel import kernel_default_enabled
 from ..obs import deepprof
 from ..obs.live import serial_worker_id
 from . import jobs
@@ -239,7 +238,6 @@ class ProcessPoolBackend:
                         channel,
                         monitor.heartbeat_interval_s if monitor else 0.0,
                         deepprof.ambient_config(),
-                        kernel_default_enabled(),
                     ),
                 )
             except (OSError, ImportError, ValueError) as error:

@@ -123,23 +123,16 @@ def init_worker(
     channel: Optional[Any],
     heartbeat_interval_s: float,
     deepprof_config: Optional[Dict[str, Any]] = None,
-    kernel_default: bool = True,
 ) -> None:
-    """Combined pool initializer: live channel, deep profiling, kernel.
+    """Combined pool initializer: live channel and deep profiling.
 
     The executor accepts exactly one initializer, and the live and
     deep-profile planes can be active in any combination — this is the
     single entry point the process backend always installs.
-    ``kernel_default`` carries the parent's ambient MaxIS kernel switch
-    (``--no-kernel``) across the process boundary, where context
-    managers cannot reach.
     """
     if channel is not None:
         init_live_channel(channel, heartbeat_interval_s)
     init_deepprof(deepprof_config)
-    from ..maxis import set_kernel_default
-
-    set_kernel_default(kernel_default)
 
 
 def _theorem1_point(t: int, num_samples: int, seed: int) -> Any:
@@ -210,9 +203,9 @@ def _gadget_graph(
 def _maxis_solve(graph: Any, mode: str = "exact") -> Dict[str, Any]:
     """Solve MaxIS on one graph, returning the weight and its witness.
 
-    ``mode`` picks the solver: ``exact`` (kernelized branch-and-bound
-    optimum) or ``greedy`` (the best greedy lower bound).  The witness
-    nodes are serialized and canonically sorted so the payload is
+    ``mode`` picks the solver: ``exact`` (branch-and-bound optimum) or
+    ``greedy`` (the best greedy lower bound).  The witness nodes are
+    serialized and canonically sorted so the payload is
     byte-deterministic under the json codec.
     """
     import json as _json

@@ -276,7 +276,7 @@ class Application:
         Always records an ``execute.<kind>`` span.  When the process
         recorder is enabled (the ``repro serve`` CLI path), the unit
         runs inside a ``serve.<kind>`` recorder span, and the closed
-        spans after it — kernelization phases, the solver itself — are
+        spans after it — the solver's search among them — are
         rebased under the execute span, so ``GET /v1/traces/<id>`` shows
         where the solve's time went, not just that it happened.  Those
         spans are then trimmed from the recorder so a long-running

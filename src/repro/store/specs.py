@@ -36,13 +36,9 @@ GADGET_MODULES: Tuple[str, ...] = CODE_MODULES + GRAPH_MODULES + (
     "repro.gadgets.quadratic",
 )
 
-#: The exact MaxIS solver (kernelization front-end included) and its
-#: result validation.  Fingerprinting ``repro.maxis.kernel`` makes every
-#: cached witness key kernel-version-aware: editing a reduction rule
-#: invalidates all stored optima.
+#: The exact MaxIS solver and its result validation.
 MAXIS_MODULES: Tuple[str, ...] = GRAPH_MODULES + (
     "repro.maxis.exact",
-    "repro.maxis.kernel",
     "repro.maxis.result",
 )
 

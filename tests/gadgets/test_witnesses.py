@@ -1,25 +1,45 @@
-"""Tests for the witnesses and property checkers (Properties 1-3, Claims 1/3/6)."""
+"""Tests for the witnesses and property checkers (Properties 1-3, Claims 1/3/6).
+
+Also the disjoint-side incumbents the sweeps hand the exact search: the
+heaviest Property 1 set (Theorem 1) and the heaviest Claim 6 set with
+its conflicting nodes dropped (Theorem 2).
+"""
 
 import itertools
 import random
 
 import pytest
 
-from repro.commcc import BitString, index_pair_to_flat, uniquely_intersecting_inputs
+from repro.commcc import (
+    BitString,
+    index_pair_to_flat,
+    pairwise_disjoint_inputs,
+    uniquely_intersecting_inputs,
+)
 from repro.gadgets import (
     GadgetParameters,
+    LinearMaxISFamily,
+    QuadraticMaxISFamily,
     check_property1,
     check_property2,
     check_property3,
     corollary2_bound,
+    heaviest_claim6_set,
+    heaviest_property1_set,
     linear_intersecting_witness,
     property1_witness,
     property2_matching_size,
     property3_overlap_count,
     quadratic_intersecting_witness,
+    smallest_meaningful_linear_parameters,
     two_party_intersecting_witness,
 )
-from repro.maxis import random_maximal_independent_set
+from repro.maxis import (
+    BranchAndBoundStats,
+    max_weight_independent_set,
+    random_maximal_independent_set,
+)
+from repro.parallel.engine import THEOREM2_POINTS
 
 
 class TestProperty1:
@@ -149,3 +169,81 @@ class TestQuadraticWitness:
         witness = quadratic_intersecting_witness(quadratic_fig, 0, 1)
         t, q = figure_params.t, figure_params.q
         assert len(witness) == 2 * t * (1 + q)
+
+
+def _full_grid_families():
+    """The sweep points of ``full_grid``: Theorem 1 t = 2..5, every Theorem 2 point."""
+    for t in (2, 3, 4, 5):
+        family = LinearMaxISFamily(smallest_meaningful_linear_parameters(t))
+        yield pytest.param(family, id=f"theorem1-t{t}")
+    for ell, t in THEOREM2_POINTS:
+        family = QuadraticMaxISFamily(GadgetParameters(ell=ell, alpha=1, t=t))
+        yield pytest.param(family, id=f"theorem2-ell{ell}-t{t}")
+
+
+def _disjoint_incumbent(family, seed):
+    """A seeded disjoint instance ``G_x`` and the incumbent built for it."""
+    params = family.params
+    construction = family.construction
+    if isinstance(family, LinearMaxISFamily):
+        length, build = params.k, heaviest_property1_set
+    else:
+        length, build = params.k * params.k, heaviest_claim6_set
+    inputs = pairwise_disjoint_inputs(length, params.t, rng=random.Random(seed))
+    graph = family.build(inputs)
+    return graph, build(construction, graph)
+
+
+class TestDisjointIncumbents:
+    @pytest.mark.parametrize("family", list(_full_grid_families()))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_independent_bounded_and_leaves_the_witness(self, family, seed):
+        graph, incumbent = _disjoint_incumbent(family, seed)
+        assert graph.is_independent_set(incumbent)
+        plain = max_weight_independent_set(graph)
+        seeded = max_weight_independent_set(graph, incumbent=incumbent)
+        weight = graph.total_weight(incumbent)
+        assert weight <= plain.weight
+        assert weight <= family.gap.low_threshold
+        assert seeded.nodes == plain.nodes
+
+    def test_linear_set_is_the_heaviest_property1_set(self):
+        family = LinearMaxISFamily(smallest_meaningful_linear_parameters(4))
+        for seed in range(5):
+            graph, incumbent = _disjoint_incumbent(family, seed)
+            weights = [
+                graph.total_weight(property1_witness(family.construction, m))
+                for m in range(family.params.k)
+            ]
+            assert graph.total_weight(incumbent) == max(weights)
+            first = weights.index(max(weights))
+            assert incumbent == property1_witness(family.construction, first)
+
+    def test_quadratic_set_is_the_heaviest_claim6_set_without_conflicts(self):
+        family = QuadraticMaxISFamily(GadgetParameters(ell=2, alpha=1, t=3))
+        construction, k = family.construction, family.params.k
+        for seed in range(5):
+            graph, incumbent = _disjoint_incumbent(family, seed)
+            best = 0
+            for m1, m2 in itertools.product(range(k), repeat=2):
+                candidate = quadratic_intersecting_witness(construction, m1, m2)
+                for i in range(family.params.t):
+                    left = construction.a_node(i, 0, m1)
+                    right = construction.a_node(i, 1, m2)
+                    if graph.has_edge(left, right):
+                        candidate.discard(right)
+                assert graph.is_independent_set(candidate)
+                best = max(best, graph.total_weight(candidate))
+            assert graph.total_weight(incumbent) == best
+
+    def test_incumbent_prunes_the_disjoint_search(self):
+        family = LinearMaxISFamily(smallest_meaningful_linear_parameters(5))
+        plain_nodes = seeded_nodes = 0
+        for seed in range(5):
+            graph, incumbent = _disjoint_incumbent(family, seed)
+            plain, seeded = BranchAndBoundStats(), BranchAndBoundStats()
+            max_weight_independent_set(graph, stats=plain)
+            max_weight_independent_set(graph, stats=seeded, incumbent=incumbent)
+            plain_nodes += plain.nodes_expanded
+            seeded_nodes += seeded.nodes_expanded
+        assert seeded_nodes < plain_nodes

@@ -6,23 +6,24 @@ and bound pruning paths.  The oracles cross-check each other:
 
 * ``brute_force_max_weight_independent_set`` enumerates all subsets and
   is the ground truth;
-* ``max_weight_independent_set`` (branch and bound) must match it, with
-  the kernelization front-end on AND off — the four-way matrix
-  ``exact(kernel) == exact(no kernel) == brute force == total − minVC``
-  runs on every instance;
+* ``max_weight_independent_set`` (branch and bound) must match it and
+  networkx — the four-way matrix
+  ``exact == brute force == networkx == total − minVC`` runs on every
+  instance;
 * ``max_weight_clique`` on the complement graph must match it (an
   independent set is a clique in the complement);
 * no approximation may ever beat the optimum.
 
-The adversarial families below aim at the kernel's soft spots: unions
-of cliques (the twin rule must collapse them entirely), complete
-bipartite graphs minus a perfect matching (dense, domination-heavy),
-paths and cycles (pure fold-rule cascades), and all-equal-weight ties
+The adversarial families below aim at the search's soft spots: unions
+of cliques (the clique cover is exact), complete bipartite graphs minus
+a perfect matching (dense, no clique larger than an edge), paths and
+cycles (sparse, long branching chains), and all-equal-weight ties
 (every tie-break branch).
 """
 
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,16 +43,25 @@ from repro.maxis import (
 )
 
 
+def _networkx_max_weight_is(graph):
+    """Optimum weight via ``nx.max_weight_clique`` on the complement."""
+    nx_graph = nx.Graph()
+    nx_graph.add_nodes_from(graph.nodes())
+    nx_graph.add_edges_from(graph.edges())
+    complement = nx.complement(nx_graph)
+    for node, weight in graph.weights().items():
+        complement.nodes[node]["weight"] = weight
+    return nx.max_weight_clique(complement, weight="weight")[1]
+
+
 def assert_four_way_agreement(graph):
-    """exact(kernel) == exact(no kernel) == brute force == total − minVC."""
-    kernel_on = max_weight_independent_set(graph, kernel=True)
-    kernel_off = max_weight_independent_set(graph, kernel=False)
+    """exact == brute force == networkx == total − minVC."""
+    exact = max_weight_independent_set(graph)
     brute = brute_force_max_weight_independent_set(graph)
     min_vc = min_weight_vertex_cover(graph).weight
-    assert kernel_on.weight == kernel_off.weight == brute.weight
+    assert exact.weight == brute.weight == _networkx_max_weight_is(graph)
     assert brute.weight == graph.total_weight() - min_vc
-    assert graph.is_independent_set(kernel_on.nodes)
-    assert graph.is_independent_set(kernel_off.nodes)
+    assert graph.is_independent_set(exact.nodes)
 
 
 @st.composite
@@ -96,7 +106,7 @@ class TestExactSolversAgree:
 
 
 class TestAdversarialFamilies:
-    """The four-way matrix on families aimed at specific kernel rules."""
+    """The four-way matrix on families aimed at the search's soft spots."""
 
     @pytest.mark.parametrize("num_cliques,size", [(1, 1), (2, 3), (3, 4), (4, 2)])
     def test_union_of_cliques(self, num_cliques, size):
@@ -104,7 +114,7 @@ class TestAdversarialFamilies:
             [(h, r) for r in range(size)] for h in range(num_cliques)
         ]
         graph = union_of_cliques(groups)
-        # Vary weights within each clique so twin tie-breaks matter.
+        # Vary weights within each clique so weight ties inside it matter.
         for h in range(num_cliques):
             for r in range(size):
                 graph.set_weight((h, r), 1 + (h + r) % 3)
@@ -142,8 +152,8 @@ class TestAdversarialFamilies:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_all_equal_weight_ties(self, seed):
-        # Uniform weights force every tie-break path: include-vs-fold in
-        # the degree-1 rule, twin keep-heaviest, domination equality.
+        # Uniform weights make every branching order tie on weight, so
+        # only the degree tie-break orders the search.
         graph = random_graph(
             12, 0.3, rng=random.Random(seed), weight_range=(1, 1)
         )

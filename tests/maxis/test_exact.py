@@ -25,6 +25,7 @@ from repro.graphs import WeightedGraph, clique, random_graph
 from repro.maxis import (
     BranchAndBoundStats,
     brute_force_max_weight_independent_set,
+    kernelize,
     max_independent_set_weight,
     max_weight_independent_set,
 )
@@ -98,9 +99,10 @@ class TestSmallGraphs:
         """Weight validation must precede index-form construction.
 
         The tripwire subclass makes any attempt to build an index form
-        explode; the solver must still raise ValueError (not
+        explode; the solver (``kernel=False``) and the standalone
+        ``kernelize`` (``kernel=True``) must still raise ValueError (not
         RuntimeError) on a negatively-weighted graph, proving the
-        validation runs first on both the kernel and raw paths.
+        validation runs first in both.
         """
 
         class TripwireGraph(WeightedGraph):
@@ -115,22 +117,17 @@ class TestSmallGraphs:
         graph = TripwireGraph(nodes={"a": 1, "b": -2})
         graph.add_edge("a", "b")
         with pytest.raises(ValueError):
-            max_weight_independent_set(graph, kernel=kernel)
+            (kernelize if kernel else max_weight_independent_set)(graph)
 
     def test_weight_helper(self):
         graph = clique(["a", "b"], weight=4)
         assert max_independent_set_weight(graph) == 4
 
     def test_stats_populated(self):
-        # With the kernel on, this instance may reduce to nothing and
-        # expand zero nodes; the raw path must still count expansions.
         graph = random_graph(12, 0.4, rng=random.Random(0))
         stats = BranchAndBoundStats()
-        max_weight_independent_set(graph, stats=stats, kernel=False)
+        max_weight_independent_set(graph, stats=stats)
         assert stats.nodes_expanded > 0
-        kernel_stats = BranchAndBoundStats()
-        max_weight_independent_set(graph, stats=kernel_stats, kernel=True)
-        assert kernel_stats.nodes_expanded <= stats.nodes_expanded
 
     def test_result_is_independent(self):
         graph = random_graph(15, 0.5, rng=random.Random(1), weight_range=(1, 9))
@@ -216,18 +213,16 @@ class TestWeightedNetworkxOracle:
             family, length = QuadraticMaxISFamily(params), params.k * params.k
         graph = family.build(sampler(length, params.t, rng=random.Random(0)))
         expected = _networkx_max_weight_is(graph)
-        for kernel in (True, False):
-            result = max_weight_independent_set(graph, kernel=kernel)
-            assert result.weight == expected, f"kernel={kernel}"
-            assert graph.is_independent_set(result.nodes)
+        result = max_weight_independent_set(graph)
+        assert result.weight == expected
+        assert graph.is_independent_set(result.nodes)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_weighted_graphs_match_networkx(self, seed):
         rng = random.Random(seed + 700)
         graph = random_graph(16, 0.4, rng=rng, weight_range=(1, 9))
         expected = _networkx_max_weight_is(graph)
-        for kernel in (True, False):
-            assert max_weight_independent_set(graph, kernel=kernel).weight == expected
+        assert max_weight_independent_set(graph).weight == expected
 
 
 class TestDenseCliqueStructured:
@@ -302,11 +297,20 @@ class TestIncumbent:
         self, graph, witness, kernel
     ):
         plain_stats, seeded_stats = BranchAndBoundStats(), BranchAndBoundStats()
-        plain = max_weight_independent_set(graph, stats=plain_stats, kernel=kernel)
+        plain = max_weight_independent_set(graph, stats=plain_stats)
+        searched = graph
+        if kernel:
+            # The standalone reduction removes nothing on the paper's
+            # instances, which is why the solver does not run it: the
+            # seeded search on its kernel is the search on the instance.
+            reduction = kernelize(graph)
+            assert reduction.is_identity
+            searched = reduction.reduced_graph()
         seeded = max_weight_independent_set(
-            graph, stats=seeded_stats, kernel=kernel, incumbent=witness
+            searched, stats=seeded_stats, incumbent=witness
         )
-        assert sorted(seeded.nodes) == sorted(plain.nodes)
+        seeded_nodes = reduction.lift(seeded.nodes) if kernel else seeded.nodes
+        assert sorted(seeded_nodes) == sorted(plain.nodes)
         # The paper's set is tight on these instances (Claims 3 and 6).
         assert graph.total_weight(witness) == plain.weight
         assert seeded_stats.nodes_expanded < plain_stats.nodes_expanded
@@ -316,11 +320,11 @@ class TestIncumbent:
         u, v = next(iter(graph.edges()))
         heavy = set(graph.nodes())  # far heavier than any independent set
         plain_stats = BranchAndBoundStats()
-        plain = max_weight_independent_set(graph, stats=plain_stats, kernel=False)
+        plain = max_weight_independent_set(graph, stats=plain_stats)
         for incumbent in (heavy, {u, v}, {"not a node"}):
             stats = BranchAndBoundStats()
             result = max_weight_independent_set(
-                graph, stats=stats, kernel=False, incumbent=incumbent
+                graph, stats=stats, incumbent=incumbent
             )
             assert sorted(result.nodes) == sorted(plain.nodes)
             assert stats.nodes_expanded == plain_stats.nodes_expanded
@@ -335,14 +339,11 @@ class TestIncumbent:
         assert _networkx_max_weight_is(graph) == expected.weight
         incumbents = [_random_independent_set(graph, rng) for _ in range(3)]
         incumbents += [set(), set(expected.nodes)]
-        for kernel in (True, False):
-            plain = max_weight_independent_set(graph, kernel=kernel)
-            for incumbent in incumbents:
-                seeded = max_weight_independent_set(
-                    graph, kernel=kernel, incumbent=incumbent
-                )
-                assert seeded.weight == expected.weight
-                assert sorted(seeded.nodes) == sorted(plain.nodes)
+        plain = max_weight_independent_set(graph)
+        for incumbent in incumbents:
+            seeded = max_weight_independent_set(graph, incumbent=incumbent)
+            assert seeded.weight == expected.weight
+            assert sorted(seeded.nodes) == sorted(plain.nodes)
 
     def test_seed_at_the_optimum_falls_back_to_an_unseeded_search(self):
         # Rounding could put a seed at the optimum; nothing beats it

@@ -1,4 +1,8 @@
-"""Unit tests for each kernelization rule and the fold-state API."""
+"""Unit tests for each kernelization rule and the fold-state API.
+
+No solver calls :func:`kernelize`; these tests solve the reduced graph
+themselves and lift the witness back (:func:`kernel_solve`).
+"""
 
 import pickle
 
@@ -7,14 +11,19 @@ import pytest
 from repro.graphs import WeightedGraph, clique, union_of_cliques
 from repro.maxis import (
     FoldedVertex,
+    IndependentSetResult,
     Kernelization,
     brute_force_max_weight_independent_set,
-    kernel_default_enabled,
     kernelize,
     max_weight_independent_set,
-    set_kernel_default,
-    using_kernel,
 )
+
+
+def kernel_solve(graph):
+    """Kernelize, solve the reduced graph exactly, lift the witness back."""
+    kern = kernelize(graph)
+    reduced = max_weight_independent_set(kern.reduced_graph())
+    return IndependentSetResult(graph, kern.lift(reduced.nodes))
 
 
 def _path(weights):
@@ -57,7 +66,7 @@ class TestDegreeRules:
         # the hub; kernel solves to {hub}, lift keeps {hub} (leaf's
         # neighbor taken => leaf stays out).
         graph = _path([1, 5, 1])
-        result = max_weight_independent_set(graph, kernel=True)
+        result = kernel_solve(graph)
         assert result.weight == 5
         assert result.nodes == frozenset({1})
 
@@ -66,7 +75,7 @@ class TestDegreeRules:
         # kernel resolves, the lifted optimum is weight 2.
         graph = WeightedGraph(nodes={"leaf": 1, "hub": 2})
         graph.add_edge("leaf", "hub")
-        result = max_weight_independent_set(graph, kernel=True)
+        result = kernel_solve(graph)
         assert result.weight == 2
         assert result.nodes == frozenset({"hub"})
 
@@ -85,7 +94,7 @@ class TestDegreeRules:
             graph.add_edge(*edge)
         kern = kernelize(graph)
         assert kern.stats.degree2_includes >= 1
-        assert max_weight_independent_set(graph, kernel=True).weight == 11
+        assert kernel_solve(graph).weight == 11
 
     def test_degree_two_fold_creates_vertex(self):
         # A 5-cycle of equal weights has every vertex at degree 2 and no
@@ -96,7 +105,7 @@ class TestDegreeRules:
         kern = kernelize(graph)
         assert kern.stats.degree2_folds >= 1
         assert kern.stats.created_vertices >= 1
-        result = max_weight_independent_set(graph, kernel=True)
+        result = kernel_solve(graph)
         assert result.weight == 4
         assert graph.is_independent_set(result.nodes)
 
@@ -107,7 +116,7 @@ class TestDegreeRules:
         graph.set_weight("b", 4)
         kern = kernelize(graph)
         assert kern.num_reduced_nodes == 0
-        assert max_weight_independent_set(graph, kernel=True).nodes == (
+        assert kernel_solve(graph).nodes == (
             frozenset({"b"})
         )
 
@@ -119,14 +128,14 @@ class TestDomination:
         kern = kernelize(graph)
         assert kern.num_reduced_nodes == 0
         assert kern.stats.dominated_removed == 15  # 3 twins per clique
-        assert max_weight_independent_set(graph, kernel=True).weight == 5
+        assert kernel_solve(graph).weight == 5
 
     def test_twins_keep_heaviest(self):
         graph = clique(["light", "heavy", "mid"])
         graph.set_weight("light", 1)
         graph.set_weight("heavy", 9)
         graph.set_weight("mid", 5)
-        result = max_weight_independent_set(graph, kernel=True)
+        result = kernel_solve(graph)
         assert result.nodes == frozenset({"heavy"})
 
     def test_strict_subset_domination_fires(self):
@@ -141,7 +150,7 @@ class TestDomination:
         kern = kernelize(graph)
         assert kern.stats.dominated_removed == 1
         assert kern.num_reduced_nodes == 8  # the untouched cube
-        result = max_weight_independent_set(graph, kernel=True)
+        result = kernel_solve(graph)
         brute = brute_force_max_weight_independent_set(graph)
         assert result.weight == brute.weight
 
@@ -159,7 +168,7 @@ class TestFoldedVertex:
         graph = WeightedGraph(nodes={i: 2 for i in range(5)})
         for i in range(5):
             graph.add_edge(i, (i + 1) % 5)
-        result = max_weight_independent_set(graph, kernel=True)
+        result = kernel_solve(graph)
         assert all(not isinstance(n, FoldedVertex) for n in result.nodes)
 
 
@@ -189,7 +198,7 @@ class TestKernelizationState:
         graph.set_weight(0, 7)
         second = kernelize(graph)
         assert second is not first
-        assert max_weight_independent_set(graph, kernel=True).weight == (
+        assert kernel_solve(graph).weight == (
             brute_force_max_weight_independent_set(graph).weight
         )
 
@@ -223,44 +232,6 @@ class TestKernelizationState:
         kernelize(graph)
         clone = pickle.loads(pickle.dumps(graph))
         assert clone == graph
-
-
-class TestAmbientDefault:
-    def test_default_is_on(self):
-        assert kernel_default_enabled() is True
-
-    def test_using_kernel_scopes_and_restores(self):
-        assert kernel_default_enabled()
-        with using_kernel(False):
-            assert not kernel_default_enabled()
-            with using_kernel(True):
-                assert kernel_default_enabled()
-            assert not kernel_default_enabled()
-        assert kernel_default_enabled()
-
-    def test_set_kernel_default_round_trip(self):
-        try:
-            set_kernel_default(False)
-            assert not kernel_default_enabled()
-            graph = _path([1, 5, 1])
-            assert max_weight_independent_set(graph).weight == 5
-        finally:
-            set_kernel_default(True)
-        assert kernel_default_enabled()
-
-    def test_solver_respects_ambient_default(self):
-        # Same optimum either way; this pins that the flag is consulted
-        # (kernel path reduces the path to nothing => zero expansions).
-        from repro.maxis import BranchAndBoundStats
-
-        graph = _path([1, 5, 1, 5, 1])
-        with using_kernel(True):
-            stats_on = BranchAndBoundStats()
-            max_weight_independent_set(graph, stats=stats_on)
-        with using_kernel(False):
-            stats_off = BranchAndBoundStats()
-            max_weight_independent_set(graph, stats=stats_off)
-        assert stats_on.nodes_expanded <= stats_off.nodes_expanded
 
 
 class TestObservability:

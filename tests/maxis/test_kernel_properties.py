@@ -33,6 +33,7 @@ from repro.maxis import (
     kernelize,
     max_weight_independent_set,
 )
+from tests.maxis.test_kernel import kernel_solve
 
 
 @st.composite
@@ -63,7 +64,7 @@ class TestKernelSolveLift:
     @given(weighted_graph())
     def test_lifted_witness_is_optimal_and_independent(self, graph):
         brute = brute_force_max_weight_independent_set(graph)
-        result = max_weight_independent_set(graph, kernel=True)
+        result = kernel_solve(graph)
         # IndependentSetResult re-validates independence and recomputes
         # the weight against the original graph on construction, so a
         # non-independent or mis-weighted lift cannot sneak through.
@@ -74,8 +75,9 @@ class TestKernelSolveLift:
     @settings(max_examples=100)
     @given(weighted_graph())
     def test_kernel_on_off_same_optimum(self, graph):
-        on = max_weight_independent_set(graph, kernel=True)
-        off = max_weight_independent_set(graph, kernel=False)
+        """Kernelize-solve-lift and the plain search agree on the optimum."""
+        on = kernel_solve(graph)
+        off = max_weight_independent_set(graph)
         assert on.weight == off.weight
 
     @settings(max_examples=100)

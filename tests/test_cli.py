@@ -1,10 +1,42 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import main
+
+
+def _run_into_closed_pipe(*argv):
+    """Run ``python -m repro *argv`` with stdout a pipe nobody reads.
+
+    The read end is closed before the child starts, so its first write
+    to stdout fails with ``EPIPE`` as in ``repro figures | head -1``
+    once ``head`` has exited.
+    """
+    env = dict(os.environ)
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (src, env.get("PYTHONPATH")) if part
+    )
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
 
 
 class TestInfo:
@@ -17,6 +49,19 @@ class TestInfo:
     def test_invalid_parameters_raise(self):
         with pytest.raises(ValueError):
             main(["info", "--ell", "0"])
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv",
+        [("figures",), ("info", "--ell", "4", "--t", "3")],
+        ids=["figures", "info"],
+    )
+    def test_exits_quietly_when_the_reader_goes_away(self, argv):
+        proc = _run_into_closed_pipe(*argv)
+        assert "Traceback" not in proc.stderr
+        assert "BrokenPipeError" not in proc.stderr
+        assert proc.returncode == 1
 
 
 class TestFigures:

@@ -64,10 +64,12 @@ class TestDeepProfilerOverhead:
         """The --deep-profile acceptance bound: <=5% at the default hz.
 
         Sampling happens on a separate daemon thread, so the profiled
-        thread only pays for GIL handoffs during stack walks.  Both
-        sides take the min of three runs to shave scheduler noise, and
-        a small absolute slack keeps the 5% relative bound meaningful
-        on a sub-second workload.
+        thread only pays for GIL handoffs during stack walks.  Plain and
+        sampled runs alternate in pairs, the pair's order flipping each
+        time, so load from other processes lands on both sides of a
+        pair alike; the bound applies to the median per-pair ratio.  A
+        small absolute slack keeps the 5% relative bound meaningful on a
+        sub-second workload.
         """
         from repro.obs.deepprof import DeepProfiler
 
@@ -80,24 +82,32 @@ class TestDeepProfilerOverhead:
             return total
 
         def timed(profiled):
-            best = float("inf")
-            for _ in range(3):
-                if profiled:
-                    profiler = DeepProfiler()  # DEFAULT_HZ
-                    profiler.start()
-                start = time.perf_counter()
-                spin()
-                elapsed = time.perf_counter() - start
-                if profiled:
-                    profiler.stop()
-                best = min(best, elapsed)
-            return best
+            if profiled:
+                profiler = DeepProfiler()  # DEFAULT_HZ
+                profiler.start()
+            start = time.perf_counter()
+            spin()
+            elapsed = time.perf_counter() - start
+            if profiled:
+                profiler.stop()
+            return elapsed
 
-        plain = timed(profiled=False)
-        sampled = timed(profiled=True)
-        assert sampled <= plain * 1.05 + 0.010, (
-            f"sampler overhead {((sampled / plain) - 1) * 100:.1f}% "
-            f"(plain {plain:.3f}s, profiled {sampled:.3f}s)"
+        pairs = []
+        for index in range(9):
+            if index % 2:
+                sampled = timed(profiled=True)
+                plain = timed(profiled=False)
+            else:
+                plain = timed(profiled=False)
+                sampled = timed(profiled=True)
+            pairs.append((plain, sampled))
+        # sampled <= plain * 1.05 + 0.010, per pair, as one ratio.
+        ratios = sorted((sampled - 0.010) / plain for plain, sampled in pairs)
+        median = ratios[len(ratios) // 2]
+        assert median <= 1.05, (
+            f"median slack-adjusted sampler ratio {median:.3f} "
+            f"(pairs of plain, profiled seconds: "
+            f"{[(round(p, 3), round(s, 3)) for p, s in pairs]})"
         )
 
 

@@ -22,7 +22,8 @@ from repro.gadgets import (
     smallest_meaningful_linear_parameters,
 )
 from repro.graphs import random_graph
-from repro.maxis import BranchAndBoundStats, max_weight_independent_set
+from repro.maxis import BranchAndBoundStats, kernelize, max_weight_independent_set
+from tests.maxis.test_kernel import kernel_solve
 
 
 class TestStructuralPins:
@@ -44,19 +45,19 @@ class TestStructuralPins:
 
 
 class TestSolverPins:
-    """The kernelization must not change *which* witness is reported.
+    """The solver's optima, search sizes and witnesses, pinned.
 
-    On gadget instances the kernel is the identity (3-regular-or-denser,
-    twin-free interiors), so the kernel-on path must hand the exact same
-    index form to the exact same search — byte-identical witnesses, and
-    never more expanded nodes than the raw path.
+    No solver runs the kernel; the kernel pins below check, on gadget
+    graphs, the reason why: the reduction is the identity there
+    (3-regular-or-denser, twin-free interiors), so kernelizing first
+    would hand the exact same index form to the exact same search.
     """
 
     @pytest.mark.parametrize("ell,t", [(3, 2), (4, 3)])
     def test_gadget_witness_identical_kernel_on_off(self, ell, t):
         graph = LinearConstruction(GadgetParameters(ell=ell, alpha=1, t=t)).graph
-        on = max_weight_independent_set(graph, kernel=True)
-        off = max_weight_independent_set(graph, kernel=False)
+        on = kernel_solve(graph)
+        off = max_weight_independent_set(graph)
         assert on.weight == off.weight
         assert sorted(on.nodes) == sorted(off.nodes)
 
@@ -66,20 +67,17 @@ class TestSolverPins:
     )
     def test_gadget_kernel_never_expands_more(self, ell, t, optimum, expanded):
         graph = LinearConstruction(GadgetParameters(ell=ell, alpha=1, t=t)).graph
-        stats_on, stats_off = BranchAndBoundStats(), BranchAndBoundStats()
-        on = max_weight_independent_set(graph, stats=stats_on, kernel=True)
-        off = max_weight_independent_set(graph, stats=stats_off, kernel=False)
-        assert on.weight == off.weight == optimum
-        assert stats_on.nodes_expanded <= stats_off.nodes_expanded
-        assert stats_off.nodes_expanded == expanded
+        assert kernelize(graph).is_identity
+        stats = BranchAndBoundStats()
+        result = max_weight_independent_set(graph, stats=stats)
+        assert result.weight == optimum
+        assert stats.nodes_expanded == expanded
 
     def test_random_seed41_witness_pinned(self):
         graph = random_graph(20, 0.3, rng=random.Random(41), weight_range=(1, 9))
-        on = max_weight_independent_set(graph, kernel=True)
-        off = max_weight_independent_set(graph, kernel=False)
-        assert on.weight == off.weight == 47
-        assert sorted(on.nodes) == sorted(off.nodes)
-        assert sorted(on.nodes) == [1, 3, 5, 6, 8, 12, 15, 16]
+        result = max_weight_independent_set(graph)
+        assert result.weight == 47
+        assert sorted(result.nodes) == [1, 3, 5, 6, 8, 12, 15, 16]
 
 
 #: Sorted witnesses of the seed-0 sweep instances below, as the solver
@@ -157,9 +155,8 @@ class TestSweepInstancePins:
         params = GadgetParameters(ell=2, alpha=1, t=4)
         family = QuadraticMaxISFamily(params)
         graph = _sampled_instance(family, params.k * params.k, params.t, sampler)
-        for kernel in (True, False):
-            result = max_weight_independent_set(graph, kernel=kernel)
-            assert (result.weight, sorted(result.nodes)) == pinned
+        result = max_weight_independent_set(graph)
+        assert (result.weight, sorted(result.nodes)) == pinned
 
     def test_theorem1_t5_disjoint(self):
         params = smallest_meaningful_linear_parameters(5)
@@ -167,9 +164,8 @@ class TestSweepInstancePins:
         graph = _sampled_instance(
             family, params.k, params.t, pairwise_disjoint_inputs
         )
-        for kernel in (True, False):
-            result = max_weight_independent_set(graph, kernel=kernel)
-            assert (result.weight, sorted(result.nodes)) == G_X_T5_DISJOINT
+        result = max_weight_independent_set(graph)
+        assert (result.weight, sorted(result.nodes)) == G_X_T5_DISJOINT
 
 
 class TestExperimentPins:
