@@ -29,10 +29,7 @@ one per hot path the reproduction leans on:
 Each bench is run ``warmup`` times untimed and ``repeats`` times timed
 with observability *off* (so the timings measure the hot path, not the
 recorder), then once more under ``obs.recording()`` to capture the
-counter/histogram/span manifest.  That manifest pass also runs under
-the :mod:`repro.obs.deepprof` sampling profiler, and each record keeps
-its top leaf-frame self-sample fractions (``frames``) so a
-``--compare`` regression names the frames that got slower.  Wall times are summarized with
+counter/histogram/span manifest.  Wall times are summarized with
 robust statistics in the pyperf spirit: median and IQR, with samples
 outside the Tukey fences (1.5 IQR beyond the quartiles) rejected from
 the mean/stdev and reported as outliers.
@@ -60,7 +57,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.analysis import render_table
-from repro.obs import deepprof
 from repro.obs.manifest import build_manifest, run_provenance
 from repro.obs.recorder import SCHEMA_VERSION
 
@@ -466,11 +462,7 @@ def run_bench(
 
     Timed repeats run with observability off; a final extra run under
     ``obs.recording()`` supplies counters/histograms/spans, so the
-    wall-clock samples never pay recorder overhead.  The same manifest
-    pass runs under a sampling profiler, and the record keeps the
-    top leaf-frame self-sample fractions (``frames``) — the attribution
-    ``compare()`` uses to name the frames that got slower when a bench
-    regresses.
+    wall-clock samples never pay recorder overhead.
     """
     if repeats < 1:
         raise ValueError(f"need at least one timed repeat, got {repeats}")
@@ -482,15 +474,13 @@ def run_bench(
         spec.fn()
         samples.append(clock() - start)
     with obs.recording() as recorder:
-        with deepprof.DeepProfiler(recorder=recorder) as profiler:
-            spec.fn()
+        spec.fn()
     manifest = build_manifest(
         spec.name, parameters=spec.parameters, recorder=recorder
     )
     return {
         "parameters": manifest["parameters"],
         "wall": robust_stats(samples),
-        "frames": profiler.top_frames(limit=15),
         "counters": manifest["counters"],
         "gauges": manifest["gauges"],
         "histograms": manifest["histograms"],
@@ -668,43 +658,6 @@ def latest_trajectory(
     return None
 
 
-def frame_deltas(
-    old_bench: Dict[str, Any],
-    new_bench: Dict[str, Any],
-    limit: int = 3,
-) -> List[Dict[str, Any]]:
-    """The frames whose estimated cost grew the most between two records.
-
-    Both records carry ``frames`` — leaf-frame self-sample fractions
-    from the manifest-pass sampler.  Multiplying each fraction by its
-    record's median wall time estimates the per-frame cost, and the
-    positive deltas (largest first, name as tiebreaker) name the frames
-    a regression actually landed in.  Empty when either side predates
-    the ``frames`` field.
-    """
-    old_frames = old_bench.get("frames") or {}
-    new_frames = new_bench.get("frames") or {}
-    if not old_frames or not new_frames:
-        return []
-    old_median = old_bench.get("wall", {}).get("median_s", 0.0)
-    new_median = new_bench.get("wall", {}).get("median_s", 0.0)
-    deltas = []
-    for label in set(old_frames) | set(new_frames):
-        old_est = old_frames.get(label, 0.0) * old_median
-        new_est = new_frames.get(label, 0.0) * new_median
-        if new_est > old_est:
-            deltas.append(
-                {
-                    "frame": label,
-                    "old_est_s": round(old_est, 6),
-                    "new_est_s": round(new_est, 6),
-                    "delta_s": round(new_est - old_est, 6),
-                }
-            )
-    deltas.sort(key=lambda entry: (-entry["delta_s"], entry["frame"]))
-    return deltas[:limit]
-
-
 def compare(
     old: Dict[str, Any], new: Dict[str, Any], threshold: float = 0.15
 ) -> List[Dict[str, Any]]:
@@ -716,8 +669,6 @@ def compare(
     bench cannot regress on jitter alone and a fast bench cannot
     regress on an invisible absolute delta.  Improvement is symmetric.
     Benches present on only one side get verdict ``added``/``removed``.
-    Regressed verdicts additionally carry ``frame_deltas`` — the
-    per-frame attribution of where the slowdown landed.
     """
     verdicts: List[Dict[str, Any]] = []
     old_benches = old.get("benches", {})
@@ -750,10 +701,6 @@ def compare(
             "relative": relative,
             "noise_s": noise,
         }
-        if verdict == "regressed":
-            entry["frame_deltas"] = frame_deltas(
-                old_benches[name], new_benches[name]
-            )
         verdicts.append(entry)
     return verdicts
 
@@ -797,19 +744,6 @@ def compare_files(
     regressions = [e for e in verdicts if e["verdict"] == "regressed"]
     if regressions:
         print(f"\nREGRESSED: {', '.join(e['bench'] for e in regressions)}")
-        for entry in regressions:
-            attributed = entry.get("frame_deltas") or []
-            if not attributed:
-                print(
-                    f"  {entry['bench']}: no frame attribution "
-                    "(record predates the `frames` field)"
-                )
-                continue
-            slower = ", ".join(
-                f"{frame['frame']} (+{frame['delta_s'] * 1000:.1f}ms est)"
-                for frame in attributed
-            )
-            print(f"  {entry['bench']} slower frames: {slower}")
         return 0 if warn_only else 1
     print("\nno regressions beyond the noise threshold")
     return 0

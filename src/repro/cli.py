@@ -12,7 +12,6 @@ Commands
 ``export``     write DOT/JSON snapshots of the constructions
 ``report``     run the full reproduction suite
 ``stats``      summarize a JSONL observability event file
-``flame``      render an inline-SVG flamegraph from deep-profile output
 ``telemetry``  per-round CONGEST traffic distributions vs the Theorem 5 bound
 ``bench``      run the curated bench suite / compare BENCH_*.json records
 ``cache``      manage the result store: ``stats`` / ``clear`` / ``warm``
@@ -34,25 +33,19 @@ on-disk store.
 
 Observability (see ``docs/OBSERVABILITY.md``): ``report``,
 ``theorem1``, ``theorem2``, and ``simulate`` accept ``--profile`` to
-enable the :mod:`repro.obs` recorder and print the span tree and
-counter totals after the run, ``--profile-json PATH`` to also stream
-the events to a JSONL file that ``stats`` can replay later, and
+enable the :mod:`repro.obs` recorder and print the span tree, the
+critical path (the "where did the time go" table of span self times)
+and counter totals after the run, ``--profile-json PATH`` to also
+stream the events to a JSONL file that ``stats`` can replay later, and
 ``--trace-out PATH`` to export the recorded span tree as Chrome-trace
 JSON for chrome://tracing or https://ui.perfetto.dev (``stats`` can
-produce the same trace from a recorded JSONL file).
+produce the same trace from a recorded JSONL file).  For a
+function-level view, run the stdlib profiler over any command:
+``python -m cProfile -s cumtime -m repro theorem1``.
 
-Deep profiling (the "Deep profiling" section of
-``docs/OBSERVABILITY.md``): ``claims``, ``theorem1``, ``theorem2``,
-and ``bench`` accept ``--deep-profile [HZ]`` (background sampling
-profiler attributing collapsed stacks to the open span tree; writes
-``DEEPPROF_<cmd>.json`` + ``<cmd>.folded`` and prints the
-critical-path "where did the time go" table) and
-``--mem-profile`` (tracemalloc peaks per span + top allocation sites);
-``repro flame`` renders any of those outputs — or a profiled
-``events.jsonl`` — as a self-contained SVG flamegraph the dashboard
-also embeds.  The bench runner
-and the ``BENCH_*.json`` trajectory schema are documented in
-``docs/BENCHMARKS.md``; the dashboard in ``docs/DASHBOARD.md``.
+The bench runner and the ``BENCH_*.json`` trajectory schema are
+documented in ``docs/BENCHMARKS.md``; the dashboard in
+``docs/DASHBOARD.md``.
 
 Live telemetry (the "Live monitoring" section of
 ``docs/OBSERVABILITY.md``): ``theorem1``, ``theorem2``, ``claims``,
@@ -157,8 +150,8 @@ def _cached(args: argparse.Namespace) -> Iterator[None]:
 def _recording_enabled() -> Iterator[object]:
     """The single recorder-enablement path every CLI plane shares.
 
-    ``--profile``, ``--live``, and ``--deep-profile`` can appear in any
-    combination; whichever plane enters first resets and enables the
+    ``--profile`` and ``--live`` can appear in any combination;
+    whichever plane enters first resets and enables the
     process-wide recorder, and every later plane sees it already
     enabled and leaves it alone.  This is what guarantees one recorder
     setup (and hence one manifest / one ``meta`` line per JSONL sink)
@@ -206,7 +199,8 @@ def _profiled(args: argparse.Namespace) -> Iterator[Optional[object]]:
     """Enable the recorder around a command when ``--profile`` is set.
 
     Yields the recorder (or ``None`` when not profiling) and prints the
-    span tree and counter/gauge totals after the command body finishes.
+    span tree, the critical path and the counter/gauge totals after the
+    command body finishes.
     """
     jsonl_path = getattr(args, "profile_json", None)
     trace_path = getattr(args, "trace_out", None)
@@ -219,9 +213,8 @@ def _profiled(args: argparse.Namespace) -> Iterator[Optional[object]]:
         return
     from . import obs
 
-    # An outer plane (--deep-profile / --live) may already have enabled
-    # and reset the recorder through _recording_enabled; resetting again
-    # here would be the double-enable path this helper layering removes.
+    # A caller that is already recording (an enclosing obs.recording()
+    # block) keeps its data: only a recorder enabled here is reset.
     with obs.recording(
         jsonl_path=jsonl_path, reset=not obs.is_enabled(), command=args.command
     ) as recorder:
@@ -231,6 +224,9 @@ def _profiled(args: argparse.Namespace) -> Iterator[Optional[object]]:
     print("PROFILE")
     print("=======")
     print(recorder.render_span_tree())
+    print()
+    print("where did the time go (critical path):")
+    print(obs.render_critical_path(recorder.spans))
     print()
     print(recorder.render_summary())
     if jsonl_path:
@@ -353,103 +349,6 @@ def _live_recorder(
     return obs.get_recorder() if obs.is_enabled() else None
 
 
-def _add_deepprof_args(parser: argparse.ArgumentParser) -> None:
-    from .obs.deepprof import DEFAULT_HZ
-
-    parser.add_argument(
-        "--deep-profile",
-        nargs="?",
-        type=float,
-        const=DEFAULT_HZ,
-        default=None,
-        metavar="HZ",
-        help=(
-            "run a background sampling profiler and write folded stacks "
-            f"(default {DEFAULT_HZ:g} Hz; see the "
-            '"Deep profiling" section of docs/OBSERVABILITY.md)'
-        ),
-    )
-    parser.add_argument(
-        "--mem-profile",
-        action="store_true",
-        help=(
-            "track tracemalloc memory telemetry: peak/current per span "
-            "and the top allocation sites"
-        ),
-    )
-    parser.add_argument(
-        "--deep-profile-out",
-        default=None,
-        metavar="DIR",
-        help=(
-            "directory for DEEPPROF_<cmd>.json / <cmd>.folded "
-            "(default benchmarks/results so the dashboard picks them up)"
-        ),
-    )
-
-
-def _deepprof_out_dir(args: argparse.Namespace) -> pathlib.Path:
-    out = getattr(args, "deep_profile_out", None)
-    if out:
-        return pathlib.Path(out)
-    default = pathlib.Path("benchmarks") / "results"
-    return default if default.parent.is_dir() else pathlib.Path(".")
-
-
-@contextlib.contextmanager
-def _deep_profiled(args: argparse.Namespace) -> Iterator[Optional[object]]:
-    """Run the deep-profile plane around a command body.
-
-    Active when ``--deep-profile`` and/or ``--mem-profile`` is given:
-    enables the recorder (samples attribute to the open span path),
-    installs the profiler as the ambient one (so the process backend
-    arms per-worker samplers and merges their aggregates back), and on
-    success writes the two artifacts and prints the "where did the
-    time go" critical-path table plus top frames / memory summaries.
-
-    Sits *outside* ``_profiled`` in the with-chain so the command span
-    is already closed — and therefore on the critical path — by the
-    time this exits.
-    """
-    hz = getattr(args, "deep_profile", None)
-    memory = getattr(args, "mem_profile", False)
-    if hz is None and not memory:
-        yield None
-        return
-    from .obs import deepprof
-
-    with contextlib.ExitStack() as stack:
-        recorder = stack.enter_context(_recording_enabled())
-        profiler = deepprof.DeepProfiler(
-            hz=hz if hz is not None else deepprof.DEFAULT_HZ,
-            sample_stacks=hz is not None,
-            memory=memory,
-            recorder=recorder,
-        )
-        stack.enter_context(deepprof.using_profiler(profiler))
-        profiler.start()
-        try:
-            yield profiler
-        finally:
-            profiler.stop()
-        paths = deepprof.write_artifacts(
-            args.command, profiler, _deepprof_out_dir(args), spans=recorder.spans
-        )
-        print()
-        print("DEEP PROFILE")
-        print("============")
-        print("where did the time go (critical path):")
-        print(deepprof.render_critical_path(recorder.spans))
-        if profiler.sample_stacks:
-            print()
-            print(deepprof.render_top_frames(profiler))
-        if profiler.memory:
-            print()
-            print(deepprof.render_memory(profiler))
-        print(f"\n[deep profile written to {paths['document']}]")
-        print(f"[folded stacks written to {paths['folded']}]")
-
-
 def _profile_simulation_phase(recorder: Optional[object], seed: int) -> None:
     """Run the Theorem 5 simulation check as a profiled phase.
 
@@ -497,7 +396,7 @@ def cmd_claims(args: argparse.Namespace) -> int:
     from .parallel import claims_checks
 
     params = _params(args)
-    with _cached(args), _deep_profiled(args), _live(args):
+    with _cached(args), _live(args):
         checks = claims_checks(
             params,
             num_samples=args.samples,
@@ -526,7 +425,7 @@ def cmd_theorem1(args: argparse.Namespace) -> int:
 
     rows = []
     exit_code = 0
-    with _cached(args), _deep_profiled(args), _profiled(
+    with _cached(args), _profiled(
         args
     ) as recorder, _live(args) as monitor:
         recorder = _live_recorder(recorder, monitor)
@@ -575,7 +474,7 @@ def cmd_theorem2(args: argparse.Namespace) -> int:
 
     rows = []
     exit_code = 0
-    with _cached(args), _deep_profiled(args), _profiled(
+    with _cached(args), _profiled(
         args
     ) as recorder, _live(args) as monitor:
         recorder = _live_recorder(recorder, monitor)
@@ -891,7 +790,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     warmup, repeats = args.warmup, args.repeats
     if args.fast:
         warmup, repeats = 1, 3
-    with _cached(args), _deep_profiled(args), _live(args):
+    with _cached(args), _live(args):
         path, trajectory = runner.run_suite(
             warmup=warmup,
             repeats=repeats,
@@ -1007,54 +906,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
             args.trace_out, span_events(events), trace_name=path.stem
         )
         print(f"\n[Chrome trace written to {args.trace_out}]")
-    return 0
-
-
-def cmd_flame(args: argparse.Namespace) -> int:
-    """Render a dependency-free inline-SVG flamegraph.
-
-    Accepts any of the three stack sources the observability planes
-    produce: an ``events.jsonl`` (span self-times, µs weights), a
-    ``<name>.folded`` collapsed-stack file, or a ``DEEPPROF_<name>.json``
-    deep-profile document (sample counts).
-    """
-    from .obs import flame
-
-    path = pathlib.Path(args.input)
-    if not path.is_file():
-        print(f"repro flame: {path} not found", file=sys.stderr)
-        return 2
-    try:
-        if path.suffix == ".jsonl":
-            from .obs.stats import load_events_tolerant, span_events
-
-            events, _ = load_events_tolerant(path)
-            samples = flame.folded_from_spans(span_events(events))
-        elif path.suffix == ".json":
-            document = json.loads(path.read_text())
-            samples = {
-                str(key): int(value)
-                for key, value in (document.get("samples") or {}).items()
-            }
-        else:
-            samples = flame.parse_folded(path.read_text())
-    except (ValueError, OSError) as error:
-        print(f"repro flame: cannot read {path}: {error}", file=sys.stderr)
-        return 2
-    if not samples:
-        print(
-            f"repro flame: no stack samples in {path} — profile a run "
-            "with --deep-profile (or --profile-json for span self-times)",
-            file=sys.stderr,
-        )
-        return 2
-    out = pathlib.Path(args.out) if args.out else path.with_suffix(".svg")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    svg = flame.flamegraph_svg(
-        samples, title=args.title or path.stem, width=args.width
-    )
-    out.write_text(svg)
-    print(f"[flamegraph written to {out}]")
     return 0
 
 
@@ -1199,8 +1050,46 @@ def cmd_serve(args: argparse.Namespace) -> int:
             monitor.close()
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads only whole option names.
+
+    With abbreviations allowed, ``repro report --t 3`` would parse
+    ``--t`` as ``--trace-out``; here it is an error (exit 2).  Every
+    subcommand parser is built from this class, so none of them reads
+    abbreviations either.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        kwargs.setdefault("allow_abbrev", False)
+        super().__init__(*args, **kwargs)
+
+
+def _int_at_least(minimum: int):
+    """An argparse type: an ``int`` of at least ``minimum`` (exit 2 otherwise)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}"
+            )
+        return value
+
+    return parse
+
+
+#: ``--samples``: an empty sample set measures nothing.
+_SAMPLES = _int_at_least(1)
+
+#: ``--max-t``: the sweeps start at ``t = 2`` players.
+_MAX_T = _int_at_least(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description=(
             "Executable reproduction of 'Beyond Alice and Bob' (PODC 2020)"
@@ -1218,37 +1107,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     claims = subparsers.add_parser("claims", help="verify properties and claims")
     _add_parameter_args(claims)
-    claims.add_argument("--samples", type=int, default=3)
+    claims.add_argument("--samples", type=_SAMPLES, default=3)
     claims.add_argument("--quadratic", action="store_true")
     claims.add_argument("--json", action="store_true")
     _add_workers_arg(claims)
     _add_cache_args(claims)
     _add_live_args(claims)
-    _add_deepprof_args(claims)
     claims.set_defaults(func=cmd_claims)
 
     theorem1 = subparsers.add_parser("theorem1", help="run the Theorem 1 sweep")
-    theorem1.add_argument("--max-t", type=int, default=4)
-    theorem1.add_argument("--samples", type=int, default=2)
+    theorem1.add_argument("--max-t", type=_MAX_T, default=4)
+    theorem1.add_argument("--samples", type=_SAMPLES, default=2)
     theorem1.add_argument("--seed", type=int, default=0)
     theorem1.add_argument("--json", action="store_true")
     _add_workers_arg(theorem1)
     _add_profile_args(theorem1)
     _add_cache_args(theorem1)
     _add_live_args(theorem1)
-    _add_deepprof_args(theorem1)
     theorem1.set_defaults(func=cmd_theorem1)
 
     theorem2 = subparsers.add_parser("theorem2", help="run the Theorem 2 sweep")
-    theorem2.add_argument("--max-t", type=int, default=3)
-    theorem2.add_argument("--samples", type=int, default=2)
+    theorem2.add_argument("--max-t", type=_MAX_T, default=3)
+    theorem2.add_argument("--samples", type=_SAMPLES, default=2)
     theorem2.add_argument("--seed", type=int, default=0)
     theorem2.add_argument("--json", action="store_true")
     _add_workers_arg(theorem2)
     _add_profile_args(theorem2)
     _add_cache_args(theorem2)
     _add_live_args(theorem2)
-    _add_deepprof_args(theorem2)
     theorem2.set_defaults(func=cmd_theorem2)
 
     simulate = subparsers.add_parser(
@@ -1276,8 +1162,8 @@ def build_parser() -> argparse.ArgumentParser:
     report = subparsers.add_parser(
         "report", help="run the full reproduction suite"
     )
-    report.add_argument("--max-t", type=int, default=4)
-    report.add_argument("--samples", type=int, default=2)
+    report.add_argument("--max-t", type=_MAX_T, default=4)
+    report.add_argument("--samples", type=_SAMPLES, default=2)
     report.add_argument("--seed", type=int, default=0)
     report.add_argument("--json", action="store_true")
     _add_profile_args(report)
@@ -1296,31 +1182,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also export the recorded spans as Chrome-trace JSON",
     )
     stats.set_defaults(func=cmd_stats)
-
-    flame = subparsers.add_parser(
-        "flame",
-        help="render an inline-SVG flamegraph from deep-profile output",
-    )
-    flame.add_argument(
-        "input",
-        help=(
-            "stack source: events.jsonl (--profile-json), <name>.folded, "
-            "or DEEPPROF_<name>.json (--deep-profile)"
-        ),
-    )
-    flame.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="output SVG path (default: input path with .svg suffix)",
-    )
-    flame.add_argument(
-        "--title", default=None, help="flamegraph title (default: input stem)"
-    )
-    flame.add_argument(
-        "--width", type=int, default=1200, help="SVG width in pixels"
-    )
-    flame.set_defaults(func=cmd_flame)
 
     telemetry = subparsers.add_parser(
         "telemetry",
@@ -1389,7 +1250,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cache_args(bench)
     _add_live_args(bench)
-    _add_deepprof_args(bench)
     bench.set_defaults(func=cmd_bench)
 
     dashboard = subparsers.add_parser(
@@ -1450,8 +1310,8 @@ def build_parser() -> argparse.ArgumentParser:
         "warm", help="precompute the theorem sweep grids into the disk store"
     )
     _add_cache_dir(cache_warm)
-    cache_warm.add_argument("--max-t", type=int, default=3)
-    cache_warm.add_argument("--samples", type=int, default=2)
+    cache_warm.add_argument("--max-t", type=_MAX_T, default=3)
+    cache_warm.add_argument("--samples", type=_SAMPLES, default=2)
     cache_warm.add_argument("--seed", type=int, default=0)
     _add_workers_arg(cache_warm)
     cache_warm.set_defaults(func=cmd_cache_warm)

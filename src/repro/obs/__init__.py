@@ -18,10 +18,13 @@ of interest::
     print(recorder.render_span_tree())
     print(recorder.render_summary())
 
-or from the CLI with ``python -m repro report --profile``; replay a
+or from the CLI with ``python -m repro report --profile``, which also
+prints the critical path (:func:`~repro.obs.recorder.critical_path`,
+the "where did the time go" table of span self times); replay a
 JSONL event file later with ``python -m repro stats events.jsonl``.
 Naming conventions and the event schema live in
-``docs/OBSERVABILITY.md``.
+``docs/OBSERVABILITY.md``; for a function-level view, run the stdlib
+profiler over the CLI (``python -m cProfile -m repro ...``).
 
 The *live* telemetry plane (:mod:`repro.obs.live` +
 :mod:`repro.obs.httpexp`) layers streaming progress, worker
@@ -37,20 +40,6 @@ import contextlib
 import pathlib
 from typing import Iterator, Optional, Union
 
-from .deepprof import (
-    DEEPPROF_SCHEMA_VERSION,
-    DEFAULT_HZ,
-    DeepProfiler,
-    _clear_ambient_profiler,
-    critical_path,
-    folded_lines,
-    get_profiler,
-    render_critical_path,
-    span_folded,
-    structural_span_keys,
-    using_profiler,
-    write_artifacts,
-)
 from .export import (
     chrome_trace,
     trace_events,
@@ -58,7 +47,6 @@ from .export import (
     trace_from_recorder,
     write_chrome_trace,
 )
-from .flame import flamegraph_svg, folded_from_spans, parse_folded
 from .httpexp import (
     MetricsSuite,
     render_prometheus,
@@ -83,7 +71,9 @@ from .recorder import (
     Recorder,
     SCHEMA_VERSION,
     SpanRecord,
+    critical_path,
     register_hard_reset_hook,
+    render_critical_path,
 )
 from .reqtrace import (
     TRACE_SCHEMA_VERSION,
@@ -109,11 +99,6 @@ _RECORDER = Recorder()
 # jsonl handle and threads belong to the parent, so a worker's
 # hard_reset must drop the reference along with the recorder state.
 register_hard_reset_hook(_clear_ambient_monitor)
-
-# Same story for the ambient deep profiler: its sampling thread did
-# not survive the fork, and workers run their own per-unit profilers
-# armed through the pool initializer instead.
-register_hard_reset_hook(_clear_ambient_profiler)
 
 
 def get_recorder() -> Recorder:
@@ -173,9 +158,6 @@ def recording(
 
 
 __all__ = [
-    "DEEPPROF_SCHEMA_VERSION",
-    "DEFAULT_HZ",
-    "DeepProfiler",
     "Histogram",
     "InMemorySink",
     "JsonlSink",
@@ -198,12 +180,8 @@ __all__ = [
     "disable",
     "enable",
     "ensure_json_native",
-    "flamegraph_svg",
-    "folded_from_spans",
-    "folded_lines",
     "format_traceparent",
     "get_monitor",
-    "get_profiler",
     "get_recorder",
     "is_enabled",
     "load_events",
@@ -211,7 +189,6 @@ __all__ = [
     "load_manifest",
     "mint_span_id",
     "mint_trace_id",
-    "parse_folded",
     "parse_traceparent",
     "recording",
     "register_hard_reset_hook",
@@ -221,16 +198,12 @@ __all__ = [
     "render_stats_file",
     "run_provenance",
     "sanitize_metric_name",
-    "span_folded",
-    "structural_span_keys",
     "summarize",
     "trace_events",
     "trace_from_events",
     "trace_from_recorder",
     "using_monitor",
     "using_trace",
-    "using_profiler",
-    "write_artifacts",
     "write_chrome_trace",
     "write_manifest",
 ]

@@ -590,3 +590,64 @@ class Recorder:
         if not parts:
             return "(nothing recorded)"
         return "\n\n".join(parts)
+
+
+def critical_path(
+    spans: Iterable[Union[SpanRecord, Mapping[str, Any]]],
+) -> List[Dict[str, Any]]:
+    """The longest-child chain from the longest root, with self-time.
+
+    Each row reports the span's total duration, its self-time
+    (duration minus the sum of its children — where the time actually
+    went at that level), its share of the root, and how many children
+    it had.  Ties break toward record order, so the result is
+    deterministic for identical inputs.
+    """
+    children: Dict[Optional[int], List[SpanRecord]] = {}
+    for record in span_records(spans):
+        children.setdefault(record.parent, []).append(record)
+    roots = children.get(None, [])
+    if not roots:
+        return []
+    node: Optional[SpanRecord] = max(roots, key=lambda s: s.duration_s)
+    total = node.duration_s
+    rows: List[Dict[str, Any]] = []
+    while node is not None:
+        kids = children.get(node.index, [])
+        child_total = sum(kid.duration_s for kid in kids)
+        rows.append(
+            {
+                "name": node.name,
+                "depth": node.depth,
+                "duration_s": round(node.duration_s, 6),
+                "self_s": round(max(0.0, node.duration_s - child_total), 6),
+                "share": round(node.duration_s / total, 4) if total else 0.0,
+                "children": len(kids),
+            }
+        )
+        node = max(kids, key=lambda s: s.duration_s) if kids else None
+    return rows
+
+
+def render_critical_path(
+    spans: Iterable[Union[SpanRecord, Mapping[str, Any]]],
+) -> str:
+    """The "where did the time go" table over :func:`critical_path`."""
+    from ..analysis.tables import render_table
+
+    rows = critical_path(spans)
+    if not rows:
+        return "(no spans recorded)"
+    body = [
+        [
+            "  " * row["depth"] + row["name"],
+            f"{row['duration_s'] * 1e3:.1f}",
+            f"{row['self_s'] * 1e3:.1f}",
+            f"{row['share'] * 100:.1f}%",
+            str(row["children"]),
+        ]
+        for row in rows
+    ]
+    return render_table(
+        ["span", "total ms", "self ms", "of root", "children"], body
+    )

@@ -103,7 +103,7 @@ class JsonlAppender:
     dropped.  ``append`` keeps earlier sessions (``live.jsonl``, the
     access log).  Events files truncate: span ``index``/``parent`` ids
     restart with each recording, so two sessions in one file would
-    corrupt ``repro flame`` and ``--trace-out``.
+    corrupt ``repro stats --trace-out``.
     """
 
     def __init__(

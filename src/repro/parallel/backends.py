@@ -58,25 +58,12 @@ import time
 from typing import AbstractSet, Any, Dict, List, Optional, Sequence, Set
 
 from .. import obs
-from ..obs import deepprof
 from ..obs.live import serial_worker_id
 from . import jobs
 
 #: Seconds a monitored dispatch loop waits per ``wait()`` round before
 #: re-polling the watchdog.
 _LIVE_POLL_S = 0.1
-
-
-def _parent_sampler_paused() -> Any:
-    """Pause the ambient deep profiler while a pool runs.
-
-    The parent thread only waits on futures then; its wall time is the
-    workers' busy time, and the workers' own samplers account for it.
-    Sampling the wait too would add pool-plumbing keys a serial run
-    does not have.
-    """
-    profiler = deepprof.get_profiler()
-    return profiler.paused() if profiler is not None else contextlib.nullcontext()
 
 
 def chunked(items: Sequence[Any], chunk_size: int) -> List[List[Any]]:
@@ -211,152 +198,120 @@ class ProcessPoolBackend:
         results: Dict[int, Any] = {}
         snapshots: Dict[int, Dict[str, Any]] = {}
         done_uids: Set[str] = set()
-        # Pause from before the pool's import and start-up through the
-        # snapshot merge: parent-side plumbing a serial run never has.
-        # The pause covers the shutdown join and the telemetry drain too
-        # (sampling them would leak Executor frames).
-        with contextlib.ExitStack() as paused:
-            paused.enter_context(_parent_sampler_paused())
-            try:
-                from concurrent.futures import FIRST_COMPLETED, wait
-                from concurrent.futures.process import (
-                    BrokenProcessPool,
-                    ProcessPoolExecutor,
-                )
+        try:
+            from concurrent.futures import FIRST_COMPLETED, wait
+            from concurrent.futures.process import (
+                BrokenProcessPool,
+                ProcessPoolExecutor,
+            )
 
-                channel = None
-                if monitor is not None:
-                    import multiprocessing
-
-                    context = self._mp_context or multiprocessing.get_context()
-                    channel = context.Queue()
-                pool = ProcessPoolExecutor(
-                    max_workers=min(self.workers, len(chunks)),
-                    mp_context=self._mp_context,
-                    initializer=jobs.init_worker,
-                    initargs=(
-                        channel,
-                        monitor.heartbeat_interval_s if monitor else 0.0,
-                        deepprof.ambient_config(),
-                    ),
-                )
-            except (OSError, ImportError, ValueError) as error:
-                paused.close()
-                print(
-                    f"repro.parallel: process pool unavailable ({error}); "
-                    "running serially",
-                    file=sys.stderr,
-                )
-                return SerialBackend().run(units, monitor=monitor)
+            initializer, initargs = None, ()
             if monitor is not None:
-                drain_stop = threading.Event()
-                drainer = threading.Thread(
-                    target=_drain,
-                    args=(channel, monitor, done_uids, drain_stop),
-                    name="repro-live-drain",
-                    daemon=True,
-                )
-                drainer.start()
-                monitor.arm_watchdog()
-            requeue = False
-            stalled: List[Dict[str, Any]] = []
-            try:
-                pending = {
-                    pool.submit(jobs.execute_chunk, chunk, unit_uids)
-                    for chunk in chunks
-                }
-                while pending:
-                    done, pending = wait(
-                        pending,
-                        timeout=_LIVE_POLL_S if monitor else None,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    broken = False
-                    for future in done:
-                        try:
-                            outcomes = future.result()
-                        except BrokenProcessPool:
-                            broken = True
-                            continue
-                        for unit_index, result, snapshot in outcomes:
-                            results[unit_index] = result
-                            if snapshot is not None:
-                                snapshots[unit_index] = snapshot
-                    stalled = monitor.poll_watchdog() if monitor else []
-                    if (stalled or broken) and monitor and monitor.requeue:
-                        requeue = True
-                        break
-                    if broken:
-                        raise BrokenProcessPool(
-                            "a pool worker died mid-sweep; rerun with "
-                            "--watchdog-requeue to degrade to serial instead"
-                        )
-            finally:
-                if requeue:
-                    # Abandon the pool: kill the wedged workers rather
-                    # than wait on them.
-                    for report in stalled:
-                        with contextlib.suppress(OSError):
-                            os.kill(report["worker"], signal.SIGKILL)
-                pool.shutdown(wait=not requeue, cancel_futures=True)
-                if monitor is not None:
-                    monitor.disarm_watchdog()
-                    # After a clean finish, give in-flight telemetry a
-                    # moment to arrive before the drainer stops.
-                    deadline = time.monotonic() + 1.0
-                    while (
-                        not requeue
-                        and len(done_uids) < len(results)
-                        and time.monotonic() < deadline
-                    ):
-                        time.sleep(0.02)
-                    drain_stop.set()
-                    drainer.join(timeout=1.0)
-                    channel.close()
-                    channel.cancel_join_thread()
-            if requeue:
-                # Requeued units run in this process: sample them
-                # exactly like serial-backend units.
-                paused.close()
-                todo = [i for i in range(len(units)) if i not in results]
-                recorder = obs.get_recorder()
-                with recorder.span("parallel.requeue"):
-                    redone = SerialBackend().run(
-                        [units[index] for index in todo],
-                        monitor=_RequeueReport(monitor, done_uids),
-                    )
-                results.update(zip(todo, redone))
-                recorder.incr("parallel.requeued_units", len(todo))
-                monitor.mark_requeued([report["uid"] for report in stalled])
-                paused.enter_context(_parent_sampler_paused())
-            self._merge_snapshots(units, snapshots, record_obs)
-        return [results[index] for index in range(len(units))]
+                import multiprocessing
 
-    def _merge_snapshots(
-        self,
-        units: Sequence[Any],
-        snapshots: Dict[int, Dict[str, Any]],
-        record_obs: bool,
-    ) -> None:
-        if not record_obs:
-            return
-        recorder = obs.get_recorder()
-        profiler = deepprof.get_profiler()
-        # Worker deep-profile aggregates graft at the same point the
-        # spans do: the parent's currently-open span path.  That makes
-        # a merged 2-worker folded key set structurally identical to a
-        # serial run's (frames above execute_unit are trimmed on both
-        # sides) — the worker-count-invariance the tests pin down.
-        span_prefix = [record.name for record in recorder._stack]
-        for unit_index in sorted(snapshots):
+                context = self._mp_context or multiprocessing.get_context()
+                channel = context.Queue()
+                initializer = jobs.init_live_channel
+                initargs = (channel, monitor.heartbeat_interval_s)
+            pool = ProcessPoolExecutor(
+                max_workers=min(self.workers, len(chunks)),
+                mp_context=self._mp_context,
+                initializer=initializer,
+                initargs=initargs,
+            )
+        except (OSError, ImportError, ValueError) as error:
+            print(
+                f"repro.parallel: process pool unavailable ({error}); "
+                "running serially",
+                file=sys.stderr,
+            )
+            return SerialBackend().run(units, monitor=monitor)
+        if monitor is not None:
+            drain_stop = threading.Event()
+            drainer = threading.Thread(
+                target=_drain,
+                args=(channel, monitor, done_uids, drain_stop),
+                name="repro-live-drain",
+                daemon=True,
+            )
+            drainer.start()
+            monitor.arm_watchdog()
+        requeue = False
+        stalled: List[Dict[str, Any]] = []
+        try:
+            pending = {
+                pool.submit(jobs.execute_chunk, chunk, unit_uids)
+                for chunk in chunks
+            }
+            while pending:
+                done, pending = wait(
+                    pending,
+                    timeout=_LIVE_POLL_S if monitor else None,
+                    return_when=FIRST_COMPLETED,
+                )
+                broken = False
+                for future in done:
+                    try:
+                        outcomes = future.result()
+                    except BrokenProcessPool:
+                        broken = True
+                        continue
+                    for unit_index, result, snapshot in outcomes:
+                        results[unit_index] = result
+                        if snapshot is not None:
+                            snapshots[unit_index] = snapshot
+                stalled = monitor.poll_watchdog() if monitor else []
+                if (stalled or broken) and monitor and monitor.requeue:
+                    requeue = True
+                    break
+                if broken:
+                    raise BrokenProcessPool(
+                        "a pool worker died mid-sweep; rerun with "
+                        "--watchdog-requeue to degrade to serial instead"
+                    )
+        finally:
+            if requeue:
+                # Abandon the pool: kill the wedged workers rather
+                # than wait on them.
+                for report in stalled:
+                    with contextlib.suppress(OSError):
+                        os.kill(report["worker"], signal.SIGKILL)
+            pool.shutdown(wait=not requeue, cancel_futures=True)
+            if monitor is not None:
+                monitor.disarm_watchdog()
+                # After a clean finish, give in-flight telemetry a
+                # moment to arrive before the drainer stops.
+                deadline = time.monotonic() + 1.0
+                while (
+                    not requeue
+                    and len(done_uids) < len(results)
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.02)
+                drain_stop.set()
+                drainer.join(timeout=1.0)
+                channel.close()
+                channel.cancel_join_thread()
+        if requeue:
+            todo = [i for i in range(len(units)) if i not in results]
+            recorder = obs.get_recorder()
+            with recorder.span("parallel.requeue"):
+                redone = SerialBackend().run(
+                    [units[index] for index in todo],
+                    monitor=_RequeueReport(monitor, done_uids),
+                )
+            results.update(zip(todo, redone))
+            recorder.incr("parallel.requeued_units", len(todo))
+            monitor.mark_requeued([report["uid"] for report in stalled])
+        if record_obs:
             # Tag grafted spans with the work-unit id (stable across
             # scheduling) so trace export renders one track per unit.
-            recorder.merge_snapshot(
-                snapshots[unit_index], track=units[unit_index].uid
-            )
-            state = snapshots[unit_index].get("deepprof")
-            if profiler is not None and state:
-                profiler.absorb(state, span_prefix=span_prefix)
+            recorder = obs.get_recorder()
+            for unit_index in sorted(snapshots):
+                recorder.merge_snapshot(
+                    snapshots[unit_index], track=units[unit_index].uid
+                )
+        return [results[index] for index in range(len(units))]
 
 
 def _multiprocessing_context() -> Any:
@@ -386,9 +341,7 @@ def resolve_backend(workers: Optional[int]) -> Any:
     """
     if not workers or workers <= 1:
         return SerialBackend()
-    # The multiprocessing import is pool set-up, like the pool's own.
-    with _parent_sampler_paused():
-        context = _multiprocessing_context()
+    context = _multiprocessing_context()
     if context is None:
         print(
             "repro.parallel: multiprocessing unavailable on this platform; "

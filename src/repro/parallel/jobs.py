@@ -58,10 +58,6 @@ Outcome = Tuple[int, Any, Optional[Dict[str, Any]]]
 #: :func:`init_live_channel` when the pool runs under a live monitor.
 _LIVE_CHANNEL: Optional[Any] = None
 
-#: Worker-side deep-profile config (``DeepProfiler.config()`` dict),
-#: set by :func:`init_deepprof` when the parent runs ``--deep-profile``.
-_DEEPPROF_CONFIG: Optional[Dict[str, Any]] = None
-
 
 def _channel_send(event: Dict[str, Any]) -> None:
     """Best-effort put on the live channel; never raises."""
@@ -102,37 +98,6 @@ def init_live_channel(channel: Any, heartbeat_interval_s: float) -> None:
         name="repro-live-heartbeat",
         daemon=True,
     ).start()
-
-
-def init_deepprof(config: Optional[Dict[str, Any]]) -> None:
-    """Pool-worker initializer: arm per-unit deep profiling.
-
-    ``config`` is the parent profiler's picklable
-    :meth:`~repro.obs.deepprof.DeepProfiler.config` (or ``None`` when
-    the parent is not deep profiling).  :func:`execute_chunk` then runs
-    every observed unit under a worker-local
-    :class:`~repro.obs.deepprof.DeepProfiler` and ships its aggregate
-    back inside the obs snapshot (``snapshot["deepprof"]``) for the
-    parent-side merge.
-    """
-    global _DEEPPROF_CONFIG
-    _DEEPPROF_CONFIG = dict(config) if config else None
-
-
-def init_worker(
-    channel: Optional[Any],
-    heartbeat_interval_s: float,
-    deepprof_config: Optional[Dict[str, Any]] = None,
-) -> None:
-    """Combined pool initializer: live channel and deep profiling.
-
-    The executor accepts exactly one initializer, and the live and
-    deep-profile planes can be active in any combination — this is the
-    single entry point the process backend always installs.
-    """
-    if channel is not None:
-        init_live_channel(channel, heartbeat_interval_s)
-    init_deepprof(deepprof_config)
 
 
 def _theorem1_point(t: int, num_samples: int, seed: int) -> Any:
@@ -303,20 +268,8 @@ def execute_chunk(
         snapshot: Optional[Dict[str, Any]] = None
         if record_obs:
             with obs.recording() as recorder:
-                if _DEEPPROF_CONFIG:
-                    from ..obs.deepprof import DeepProfiler
-
-                    with DeepProfiler.from_config(
-                        _DEEPPROF_CONFIG, recorder=recorder
-                    ) as profiler:
-                        result = execute_unit(kind, kwargs)
-                    deepprof_state = profiler.state()
-                else:
-                    deepprof_state = None
-                    result = execute_unit(kind, kwargs)
+                result = execute_unit(kind, kwargs)
             snapshot = recorder.snapshot()
-            if deepprof_state is not None:
-                snapshot["deepprof"] = deepprof_state
             recorder.hard_reset()
         else:
             result = execute_unit(kind, kwargs)

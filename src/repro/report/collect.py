@@ -44,8 +44,9 @@ def collect_manifests(
     """``manifest name -> {"path", "manifest"}`` for every run manifest.
 
     Scans ``*.json`` in ``results_dir``, skipping ``BENCH_*``
-    trajectories and ``DEEPPROF_*`` deep-profile documents (both carry
-    a ``schema_version`` but are not run manifests) and anything
+    trajectories and stale ``DEEPPROF_*`` documents left by an older
+    sampling profiler (both carry a ``schema_version`` but are not run
+    manifests) and anything
     unparseable or without a ``schema_version`` — a corrupt sidecar
     must not take the report down.  Keyed by the manifest's own
     ``name`` field; a duplicate name keeps the lexically later file
@@ -191,46 +192,6 @@ def bench_trajectories(results_dir: pathlib.Path) -> Dict[str, Any]:
     return {"count": len(timeline), "series": series, "latest": latest, "shas": shas}
 
 
-def collect_deep_profiles(results_dir: pathlib.Path) -> List[Dict[str, Any]]:
-    """Every ``DEEPPROF_*.json`` deep-profile document, name-sorted.
-
-    Written by the ``--deep-profile`` / ``--mem-profile`` CLI flags
-    (see :mod:`repro.obs.deepprof`).  Each entry keeps the fields the
-    dashboard renders: the folded samples (flamegraph input), the
-    critical-path rows, and the memory summary.  Corrupt or
-    wrong-kind files are skipped, like everywhere else in this
-    collector.
-    """
-    found: List[Dict[str, Any]] = []
-    if not results_dir.is_dir():
-        return found
-    for path in sorted(results_dir.glob("DEEPPROF_*.json")):
-        try:
-            document = json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError):
-            continue
-        if (
-            not isinstance(document, dict)
-            or document.get("kind") != "deep_profile"
-            or "schema_version" not in document
-        ):
-            continue
-        found.append(
-            {
-                "name": document.get("name") or path.stem,
-                "path": str(path),
-                "hz": document.get("hz"),
-                "total_samples": document.get("total_samples", 0),
-                "duration_s": document.get("duration_s"),
-                "merged_profiles": document.get("merged_profiles", 0),
-                "samples": document.get("samples") or {},
-                "critical_path": document.get("critical_path") or [],
-                "memory": document.get("memory"),
-            }
-        )
-    return found
-
-
 def cache_totals(manifests: Dict[str, Dict[str, Any]]) -> Optional[Dict[str, Any]]:
     """Aggregate ``cache.*`` counters across all run manifests."""
     hits = misses = bytes_written = 0
@@ -370,7 +331,6 @@ def collect_report(
             for name, entry in sorted(manifests.items())
         ],
         "trajectories": bench_trajectories(results_dir),
-        "deep_profiles": collect_deep_profiles(results_dir),
         "telemetry": telemetry,
         "cache": cache_totals(manifests),
         "stalls": stall_totals(manifests),

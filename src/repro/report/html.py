@@ -220,94 +220,6 @@ def _cache_section(data: Dict[str, Any]) -> List[str]:
     return out
 
 
-def _deepprof_section(data: Dict[str, Any]) -> List[str]:
-    """Per-run flamegraph + critical-path panel from DEEPPROF_*.json.
-
-    One subsection per collected deep-profile document: the inline-SVG
-    flamegraph over the folded samples, the "where did the time go"
-    critical-path table, and (when memory telemetry ran) the peak /
-    top-allocation summary.  The flamegraph SVG is self-contained and
-    embedded verbatim, so the report stays dependency-free.
-    """
-    out = ["<h2>Deep profiles</h2>"]
-    profiles = data.get("deep_profiles") or []
-    if not profiles:
-        out.append(
-            '<p class="meta">No deep profiles found — run a command with '
-            "<code>--deep-profile</code> (and optionally "
-            "<code>--mem-profile</code>) to record one.</p>"
-        )
-        return out
-    from ..obs.flame import flamegraph_svg
-
-    for profile in profiles:
-        out.append(f"<h3><code>{_esc(profile['name'])}</code></h3>")
-        meta = [
-            f"{profile['total_samples']} samples",
-            f"{profile['hz']:g} Hz" if profile.get("hz") else "",
-            (
-                f"{profile['duration_s']:.2f} s sampled"
-                if profile.get("duration_s")
-                else ""
-            ),
-            (
-                f"{profile['merged_profiles']} worker profiles merged"
-                if profile.get("merged_profiles")
-                else ""
-            ),
-        ]
-        out.append(
-            f'<p class="meta">{" · ".join(part for part in meta if part)}</p>'
-        )
-        if profile["samples"]:
-            out.append(
-                flamegraph_svg(
-                    {k: int(v) for k, v in profile["samples"].items()},
-                    title=profile["name"],
-                ).rstrip()
-            )
-        if profile["critical_path"]:
-            out.append("<table>")
-            out.append(
-                "<tr><th>span (critical path)</th><th>total ms</th>"
-                "<th>self ms</th><th>of root</th><th>children</th></tr>"
-            )
-            for row in profile["critical_path"]:
-                indent = "&nbsp;&nbsp;" * int(row.get("depth", 0))
-                out.append(
-                    "<tr>"
-                    f"<td>{indent}<code>{_esc(row['name'])}</code></td>"
-                    f"<td>{_esc(_ms(row.get('duration_s')))}</td>"
-                    f"<td>{_esc(_ms(row.get('self_s')))}</td>"
-                    f"<td>{row.get('share', 0) * 100:.1f}%</td>"
-                    f"<td>{_esc(row.get('children', 0))}</td>"
-                    "</tr>"
-                )
-            out.append("</table>")
-        memory = profile.get("memory")
-        if memory:
-            out.append(
-                f'<p class="meta">memory: peak '
-                f"{memory.get('peak_bytes', 0) / 1e6:.2f} MB traced.</p>"
-            )
-            sites = memory.get("top_allocations") or []
-            if sites:
-                out.append("<table>")
-                out.append(
-                    "<tr><th>allocation site</th><th>KB</th><th>blocks</th></tr>"
-                )
-                for site in sites:
-                    out.append(
-                        "<tr>"
-                        f"<td><code>{_esc(site.get('site', '?'))}</code></td>"
-                        f"<td>{site.get('size_bytes', 0) / 1e3:.1f}</td>"
-                        f"<td>{_esc(site.get('count', 0))}</td>"
-                        "</tr>"
-                    )
-                out.append("</table>")
-    return out
-
-
 #: The sweep_serve gauges the serve panel knows how to label/format.
 _SERVE_PANEL_ROWS = [
     ("p50 latency", "serve.p50_ms", "{:.2f} ms"),
@@ -483,7 +395,6 @@ def render_report(data: Dict[str, Any]) -> str:
         parts.append("</ul></div>")
     parts.extend(_coverage_section(data))
     parts.extend(_trajectory_section(data))
-    parts.extend(_deepprof_section(data))
     parts.extend(_telemetry_section(data))
     parts.extend(_cache_section(data))
     parts.extend(_serve_section(data))

@@ -1,6 +1,6 @@
 """Span trees from both producers, for tests of the span consumers.
 
-Every consumer of spans (Chrome export, folded stacks, critical path)
+Every consumer of spans (Chrome export, the critical path)
 takes :class:`~repro.obs.recorder.SpanRecord` objects or their event
 dicts.  :func:`span_sources` returns one tree from each producer: the
 recorder (including a merged worker snapshot on its own track) and a

@@ -46,6 +46,21 @@ class TestEnvelopeHeader:
         capsys.readouterr()
         _assert_envelope(_first_line(path), "live", "theorem2")
 
+    def test_flag_combination_produces_one_meta_line(self, tmp_path, capsys):
+        """--profile-json with --live-out enables the recorder once.
+
+        Each plane enters through one enablement path, so the events
+        file gets one recorder setup and hence one ``meta`` line, first.
+        """
+        events = tmp_path / "events.jsonl"
+        live = tmp_path / "live.jsonl"
+        argv = FAST_SWEEP + ["--profile-json", str(events), "--live-out", str(live)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        records = [json.loads(line) for line in events.read_text().splitlines()]
+        assert [r["type"] for r in records].count("meta") == 1
+        assert records[0]["type"] == "meta"
+
     def test_access_log_first_line(self, tmp_path):
         from tests.serve.conftest import serve_session
 

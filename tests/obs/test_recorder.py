@@ -4,7 +4,12 @@ import pytest
 
 from repro import obs
 from repro.obs import InMemorySink, Recorder
-from repro.obs.recorder import NULL_SPAN, SpanRecord
+from repro.obs.recorder import (
+    NULL_SPAN,
+    SpanRecord,
+    critical_path,
+    render_critical_path,
+)
 from tests.obs.span_sources import span_sources
 
 
@@ -218,3 +223,53 @@ class TestLifecycle:
         with obs.recording():
             pass
         assert recorder.counters == {}
+
+
+class TestCriticalPath:
+    SPANS = [
+        {"index": 0, "parent": None, "depth": 0, "name": "root", "duration_s": 1.0},
+        {"index": 1, "parent": 0, "depth": 1, "name": "big", "duration_s": 0.6},
+        {"index": 2, "parent": 0, "depth": 1, "name": "small", "duration_s": 0.3},
+        {"index": 3, "parent": 1, "depth": 2, "name": "leaf", "duration_s": 0.5},
+    ]
+
+    def test_follows_the_longest_child_chain(self):
+        rows = critical_path(self.SPANS)
+        assert [row["name"] for row in rows] == ["root", "big", "leaf"]
+
+    def test_self_time_subtracts_children(self):
+        rows = {row["name"]: row for row in critical_path(self.SPANS)}
+        assert rows["root"]["self_s"] == pytest.approx(0.1)
+        assert rows["big"]["self_s"] == pytest.approx(0.1)
+        assert rows["leaf"]["self_s"] == pytest.approx(0.5)
+        assert rows["root"]["share"] == 1.0
+        assert rows["big"]["share"] == pytest.approx(0.6)
+        assert rows["root"]["children"] == 2
+
+    def test_longest_root_wins(self):
+        spans = [
+            {"index": 0, "parent": None, "name": "short", "duration_s": 0.1},
+            {"index": 1, "parent": None, "name": "long", "duration_s": 0.9},
+        ]
+        assert critical_path(spans)[0]["name"] == "long"
+
+    def test_empty_spans(self):
+        assert critical_path([]) == []
+
+    def test_accepts_span_records(self):
+        recorder = Recorder(enabled=True)
+        with recorder.span("outer"):
+            with recorder.span("inner"):
+                pass
+        rows = critical_path(recorder.spans)
+        assert [row["name"] for row in rows] == ["outer", "inner"]
+        for label, records in span_sources():
+            events = [record.to_dict() for record in records]
+            rows = critical_path(records)
+            assert rows and rows == critical_path(events), label
+
+    def test_render_mentions_every_hop(self):
+        table = render_critical_path(self.SPANS)
+        for name in ("root", "big", "leaf"):
+            assert name in table
+        assert render_critical_path([]) == "(no spans recorded)"

@@ -10,6 +10,7 @@ import pytest
 
 from repro.obs.metrics import Histogram
 from repro.obs.recorder import Recorder
+from repro.parallel import jobs
 
 
 def _worker_recorder() -> Recorder:
@@ -246,3 +247,20 @@ class TestHardReset:
         recorder.add_sink(sentinel)
         recorder.hard_reset(keep_sinks=True)
         assert recorder._sinks == [sentinel]
+
+
+class TestExecuteChunk:
+    """The worker entry point returns a snapshot only for recorded units."""
+
+    def test_snapshot_when_recording(self):
+        outcomes = jobs.execute_chunk([(0, "probe", {"x": 3.0}, True)])
+        _, result, snapshot = outcomes[0]
+        assert result == 9.0
+        assert snapshot["counters"] == {"parallel.probe_calls": 1}
+        assert [span["name"] for span in snapshot["spans"]] == ["probe"]
+
+    def test_no_snapshot_at_all_without_record_obs(self):
+        outcomes = jobs.execute_chunk([(0, "probe", {"x": 2.0}, False)])
+        _, result, snapshot = outcomes[0]
+        assert result == 4.0
+        assert snapshot is None

@@ -331,68 +331,17 @@ class TestCollectReport:
         assert first == second
 
 
-def _deepprof_document(name, samples=None, memory=None):
-    return {
-        "kind": "deep_profile",
-        "schema_version": 1,
-        "name": name,
-        "hz": 97.0,
-        "sample_stacks": True,
-        "total_samples": sum((samples or {}).values()),
-        "duration_s": 1.5,
-        "merged_profiles": 2,
-        "samples": samples or {},
-        "critical_path": [
-            {
-                "name": "parallel.run",
-                "depth": 0,
-                "duration_s": 1.4,
-                "self_s": 0.2,
-                "share": 1.0,
-                "children": 3,
-            }
-        ],
-        "memory": memory,
-    }
+def _deepprof_document(name):
+    """A stale ``DEEPPROF_*.json`` left by an older sampling profiler."""
+    return {"kind": "deep_profile", "schema_version": 1, "name": name}
 
 
 class TestCollectDeepProfiles:
-    def _write(self, directory, name, document):
-        path = directory / f"DEEPPROF_{name}.json"
-        path.write_text(json.dumps(document))
-        return path
-
-    def test_collects_documents_name_sorted(self, tmp_path):
-        self._write(tmp_path, "zeta", _deepprof_document("zeta"))
-        self._write(
-            tmp_path, "alpha", _deepprof_document("alpha", {"span:a;m:f": 4})
-        )
-        profiles = collect.collect_deep_profiles(tmp_path)
-        assert [p["name"] for p in profiles] == ["alpha", "zeta"]
-        assert profiles[0]["samples"] == {"span:a;m:f": 4}
-        assert profiles[0]["critical_path"][0]["name"] == "parallel.run"
-        assert profiles[0]["merged_profiles"] == 2
-
-    def test_skips_corrupt_and_wrong_kind_files(self, tmp_path):
-        (tmp_path / "DEEPPROF_broken.json").write_text("{nope")
-        (tmp_path / "DEEPPROF_wrong.json").write_text('{"kind": "other"}')
-        (tmp_path / "DEEPPROF_noschema.json").write_text(
-            '{"kind": "deep_profile"}'
-        )
-        self._write(tmp_path, "good", _deepprof_document("good"))
-        assert [
-            p["name"] for p in collect.collect_deep_profiles(tmp_path)
-        ] == ["good"]
-
-    def test_missing_directory_is_empty(self, tmp_path):
-        assert collect.collect_deep_profiles(tmp_path / "nowhere") == []
+    """Documents left by an older sampling profiler are not run manifests."""
 
     def test_manifest_collector_ignores_deepprof_files(self, tmp_path):
-        self._write(tmp_path, "run", _deepprof_document("run"))
+        (tmp_path / "DEEPPROF_run.json").write_text(
+            json.dumps(_deepprof_document("run"))
+        )
         _write(tmp_path, "good", _manifest("good"))
         assert set(collect.collect_manifests(tmp_path)) == {"good"}
-
-    def test_report_model_carries_deep_profiles(self, tmp_path):
-        self._write(tmp_path, "run", _deepprof_document("run"))
-        model = collect.collect_report(tmp_path, include_telemetry=False)
-        assert [p["name"] for p in model["deep_profiles"]] == ["run"]

@@ -173,69 +173,3 @@ class TestBuildDashboard:
         html = result["path"].read_text()
         assert "congest.round_bits" in html
         assert "<script" not in html
-
-
-class TestDeepProfileSection:
-    def _write_profile(self, tmp_path, with_memory=False):
-        document = {
-            "kind": "deep_profile",
-            "schema_version": 1,
-            "name": "theorem2",
-            "hz": 97.0,
-            "sample_stacks": True,
-            "total_samples": 7,
-            "duration_s": 1.25,
-            "merged_profiles": 2,
-            "samples": {"span:parallel.run;repro.maxis.exact:solve": 7},
-            "critical_path": [
-                {
-                    "name": "parallel.run",
-                    "depth": 0,
-                    "duration_s": 1.2,
-                    "self_s": 0.3,
-                    "share": 1.0,
-                    "children": 2,
-                }
-            ],
-            "memory": (
-                {
-                    "current_bytes": 1000,
-                    "peak_bytes": 2_500_000,
-                    "span_peak_bytes": {},
-                    "top_allocations": [
-                        {"site": "maxis/exact.py:1", "size_bytes": 2048, "count": 3}
-                    ],
-                }
-                if with_memory
-                else None
-            ),
-        }
-        (tmp_path / "DEEPPROF_theorem2.json").write_text(json.dumps(document))
-
-    def test_embeds_flamegraph_and_critical_path(self, tmp_path):
-        self._write_profile(tmp_path)
-        html = render_report(_model(tmp_path))
-        assert "<h2>Deep profiles</h2>" in html
-        assert "<code>theorem2</code>" in html
-        # The flamegraph SVG is embedded verbatim and self-contained.
-        assert 'xmlns="http://www.w3.org/2000/svg"' in html
-        assert "(7 samples)" in html
-        assert "<script" not in html
-        assert "span (critical path)" in html
-        assert "parallel.run" in html
-        assert "2 worker profiles merged" in html
-
-    def test_memory_summary_rendered_when_present(self, tmp_path):
-        self._write_profile(tmp_path, with_memory=True)
-        html = render_report(_model(tmp_path))
-        assert "peak 2.50 MB traced" in html
-        assert "maxis/exact.py:1" in html
-
-    def test_empty_state_points_at_the_flag(self, tmp_path):
-        html = render_report(_model(tmp_path))
-        assert "No deep profiles found" in html
-        assert "--deep-profile" in html
-
-    def test_dashboard_with_profiles_is_byte_deterministic(self, tmp_path):
-        self._write_profile(tmp_path, with_memory=True)
-        assert render_report(_model(tmp_path)) == render_report(_model(tmp_path))

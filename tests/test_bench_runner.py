@@ -7,14 +7,8 @@ import pytest
 from benchmarks import runner
 
 
-def _trajectory(medians, iqr=0.001, sha="aaa", frames=None):
-    """Synthesize a minimal bench_trajectory record.
-
-    ``frames`` optionally maps bench name -> leaf-frame self-sample
-    fractions (the ``frames`` field real records carry since the
-    deep-profile plane landed).
-    """
-    frames = frames or {}
+def _trajectory(medians, iqr=0.001, sha="aaa"):
+    """Synthesize a minimal bench_trajectory record."""
     return {
         "schema_version": runner.BENCH_SCHEMA_VERSION,
         "kind": "bench_trajectory",
@@ -23,7 +17,6 @@ def _trajectory(medians, iqr=0.001, sha="aaa", frames=None):
         "benches": {
             name: {
                 "parameters": {},
-                "frames": frames.get(name, {}),
                 "wall": {
                     "repeats": 3,
                     "median_s": median,
@@ -187,11 +180,7 @@ class TestTrajectoryDiscovery:
         found = runner.discover_trajectories(runner.BASELINES_DIR)
         assert found, "benchmarks/baselines/ should hold a seed record"
         _, record = found[-1]
-        # The seed postdates the frames field: attribution works
-        # against it out of the box.
-        assert any(
-            bench.get("frames") for bench in record["benches"].values()
-        )
+        assert record["benches"]
 
     def test_discover_require_raises_an_actionable_error(self, tmp_path):
         with pytest.raises(FileNotFoundError) as excinfo:
@@ -200,51 +189,6 @@ class TestTrajectoryDiscovery:
         assert str(tmp_path) in message
         assert "python -m repro bench" in message
         assert "baselines" in message
-
-
-class TestFrameDeltas:
-    def test_fraction_times_median_estimates(self):
-        old = _trajectory({"a": 1.0}, frames={"a": {"m:f": 0.5, "m:g": 0.5}})
-        new = _trajectory({"a": 2.0}, frames={"a": {"m:f": 0.8, "m:g": 0.2}})
-        deltas = runner.frame_deltas(
-            old["benches"]["a"], new["benches"]["a"]
-        )
-        # m:f went 0.5*1.0=0.5s -> 0.8*2.0=1.6s; m:g shrank and is
-        # therefore not reported (positive deltas only).
-        assert deltas == [
-            {
-                "frame": "m:f",
-                "old_est_s": 0.5,
-                "new_est_s": 1.6,
-                "delta_s": pytest.approx(1.1),
-            }
-        ]
-
-    def test_sorted_by_delta_then_name_and_limited(self):
-        frames_old = {f"m:{c}": 0.0 for c in "abcd"}
-        frames_new = {"m:a": 0.1, "m:b": 0.3, "m:c": 0.3, "m:d": 0.2}
-        old = _trajectory({"x": 1.0}, frames={"x": frames_old})
-        new = _trajectory({"x": 1.0}, frames={"x": frames_new})
-        deltas = runner.frame_deltas(
-            old["benches"]["x"], new["benches"]["x"], limit=3
-        )
-        assert [entry["frame"] for entry in deltas] == ["m:b", "m:c", "m:d"]
-
-    def test_empty_when_either_side_predates_frames(self):
-        with_frames = _trajectory({"a": 1.0}, frames={"a": {"m:f": 1.0}})
-        without = _trajectory({"a": 2.0})
-        assert (
-            runner.frame_deltas(
-                without["benches"]["a"], with_frames["benches"]["a"]
-            )
-            == []
-        )
-        assert (
-            runner.frame_deltas(
-                with_frames["benches"]["a"], without["benches"]["a"]
-            )
-            == []
-        )
 
 
 class TestCompare:
@@ -270,16 +214,6 @@ class TestCompare:
         new = _trajectory({"a": 1.0, "fresh": 1.0})
         verdicts = {v["bench"]: v["verdict"] for v in runner.compare(old, new)}
         assert verdicts == {"a": "ok", "gone": "removed", "fresh": "added"}
-
-    def test_regressed_verdicts_carry_frame_attribution(self):
-        old = _trajectory({"a": 1.0}, iqr=0.01, frames={"a": {"m:f": 1.0}})
-        new = _trajectory({"a": 2.0}, iqr=0.01, frames={"a": {"m:f": 1.0}})
-        entry = runner.compare(old, new)[0]
-        assert entry["verdict"] == "regressed"
-        assert entry["frame_deltas"][0]["frame"] == "m:f"
-        # Non-regressed verdicts stay lean.
-        stable = runner.compare(old, old)[0]
-        assert "frame_deltas" not in stable
 
     def test_threshold_parameter_widens_the_gate(self):
         old = _trajectory({"a": 1.0}, iqr=0.0)
@@ -307,27 +241,6 @@ class TestCompareFiles:
         new = self._write(tmp_path, "new.json", _trajectory({"a": 2.0}))
         assert runner.compare_files(old, new, warn_only=True) == 0
         assert "REGRESSED: a" in capsys.readouterr().out
-
-    def test_regression_output_names_the_slower_frames(self, tmp_path, capsys):
-        old = self._write(
-            tmp_path,
-            "old.json",
-            _trajectory({"a": 1.0}, frames={"a": {"m:f": 1.0}}),
-        )
-        new = self._write(
-            tmp_path,
-            "new.json",
-            _trajectory({"a": 2.0}, frames={"a": {"m:f": 1.0}}),
-        )
-        assert runner.compare_files(old, new) == 1
-        out = capsys.readouterr().out
-        assert "a slower frames: m:f (+1000.0ms est)" in out
-
-    def test_regression_without_frames_says_so(self, tmp_path, capsys):
-        old = self._write(tmp_path, "old.json", _trajectory({"a": 1.0}))
-        new = self._write(tmp_path, "new.json", _trajectory({"a": 2.0}))
-        assert runner.compare_files(old, new) == 1
-        assert "no frame attribution" in capsys.readouterr().out
 
     def test_exit_zero_when_stable(self, tmp_path, capsys):
         old = self._write(tmp_path, "old.json", _trajectory({"a": 1.0}))
@@ -359,9 +272,6 @@ class TestRunSuite:
         assert record["wall"]["median_s"] > 0
         # The profiled extra run populated the instrumentation sections.
         assert record["counters"]
-        # The manifest pass ran under the sampling profiler; the frames
-        # field exists even when the bench is too fast to catch a tick.
-        assert isinstance(record["frames"], dict)
         assert set(trajectory["provenance"]) == {
             "git_sha",
             "hostname",

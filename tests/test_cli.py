@@ -174,6 +174,18 @@ class TestProfile:
         assert "congest.messages" in out
         assert "congest.bits" in out
 
+    def test_profile_prints_the_critical_path_after_the_span_tree(self, capsys):
+        assert main(["report", "--max-t", "2", "--samples", "1", "--profile"]) == 0
+        out = capsys.readouterr().out
+        profile = out[out.index("PROFILE\n"):]
+        title = "where did the time go (critical path):"
+        assert profile.index("report") < profile.index(title)
+        table = profile[profile.index(title):].split("\n\n")[0]
+        header = table.splitlines()[1].split()
+        assert header[:4] == ["span", "total", "ms", "self"]
+        # The chain starts at the command span, the longest root.
+        assert table.splitlines()[3].split()[0] == "report"
+
     def test_profile_restores_disabled_state(self, capsys):
         from repro import obs
 
@@ -265,6 +277,24 @@ class TestStatsTolerance:
         events = tmp_path / "events.jsonl"
         events.write_text("")
         assert main(["stats", str(events)]) == 0
+
+    def test_missing_file_is_not_an_error(self, tmp_path, capsys):
+        assert main(["stats", str(tmp_path / "never-written.jsonl")]) == 0
+        out = capsys.readouterr().out
+        assert "no events recorded" in out
+        assert "--profile-json" in out
+
+    def test_empty_file_is_not_an_error(self, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        events.write_text("")
+        assert main(["stats", str(events)]) == 0
+        assert "no events recorded" in capsys.readouterr().out
+
+    def test_unparseable_file_is_not_an_error(self, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        events.write_text("not json\nstill not json\n")
+        assert main(["stats", str(events)]) == 0
+        assert "no parseable event lines" in capsys.readouterr().out
 
 
 class TestBenchCommand:
@@ -568,3 +598,65 @@ class TestParser:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["bogus"])
+
+    @pytest.mark.parametrize("command", ["report", "simulate"])
+    def test_abbreviated_flag_is_rejected(self, command, tmp_path, monkeypatch):
+        # Neither command has --t; an abbreviation-reading parser took it
+        # for --trace-out and wrote a Chrome trace to a file named "3".
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--t", "3"])
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "3").exists()
+
+
+def _sweep_argv(command, cache_dir):
+    if command == "cache warm":
+        return ["cache", "warm", "--cache-dir", str(cache_dir)]
+    return [command]
+
+
+SWEEP_COMMANDS = ["claims", "theorem1", "theorem2", "report", "cache warm"]
+
+
+class TestSweepSizeValidation:
+    """An empty sweep is a usage error, not a run that proves nothing."""
+
+    @pytest.mark.parametrize("command", SWEEP_COMMANDS)
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_samples_below_one_exit_2(
+        self, command, samples, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = _sweep_argv(command, tmp_path / "store") + ["--samples", samples]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", [c for c in SWEEP_COMMANDS if c != "claims"]
+    )
+    def test_max_t_below_two_exit_2(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = _sweep_argv(command, tmp_path / "store") + ["--max-t", "1"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "must be at least 2" in capsys.readouterr().err
+
+    def test_non_integer_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["theorem1", "--samples", "two"])
+        assert excinfo.value.code == 2
+        assert "invalid int value: 'two'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", SWEEP_COMMANDS)
+    def test_smallest_sweep_parses(self, command, tmp_path):
+        from repro.cli import build_parser
+
+        argv = _sweep_argv(command, tmp_path) + ["--samples", "1"]
+        if command != "claims":
+            argv += ["--max-t", "2"]
+        args = build_parser().parse_args(argv)
+        assert args.samples == 1

@@ -197,3 +197,60 @@ class TestExperimentPins:
         assert report.round_bound.value == pytest.approx(
             2 / (48 * math.log2(40))
         )
+
+
+#: EXPERIMENTS.md "Theorem 1": ``t -> (ell, k, n, OPT inter, OPT disj,
+#: measured ratio)`` at ``smallest_meaningful_linear_parameters(t)``,
+#: 3 samples, as ``bench_theorem1_linear_gap.py`` runs it.
+THEOREM1_TABLE = {
+    2: (3, 4, 40, 14, 12, 0.857),
+    3: (4, 5, 90, 27, 21, 0.778),
+    4: (6, 7, 224, 52, 37, 0.712),
+    5: (6, 7, 280, 65, 45, 0.692),
+    6: (7, 8, 432, 90, 60, 0.667),
+    7: (8, 9, 630, 119, 77, 0.647),
+    8: (10, 11, 1056, 168, 105, 0.625),
+}
+
+#: EXPERIMENTS.md "Theorem 2": ``(t, ell) -> (n, OPT inter, OPT disj,
+#: measured ratio)`` over the ``SWEEP`` of
+#: ``bench_theorem2_quadratic_gap.py``, 2 samples.
+THEOREM2_TABLE = {
+    (2, 2): (48, 20, 18, 0.900),
+    (2, 3): (80, 28, 25, 0.893),
+    (3, 2): (72, 30, 26, 0.867),
+    (3, 3): (120, 42, 36, 0.857),
+    (4, 2): (96, 40, 34, 0.850),
+    (5, 2): (120, 50, 42, 0.840),
+}
+
+
+class TestPublishedTables:
+    """Every row of EXPERIMENTS.md's Theorem 1 and Theorem 2 tables."""
+
+    @pytest.mark.parametrize("t", sorted(THEOREM1_TABLE))
+    def test_theorem1_row(self, t):
+        ell, k, n, inter, disj, ratio = THEOREM1_TABLE[t]
+        params = smallest_meaningful_linear_parameters(t)
+        assert (params.ell, params.alpha, params.k) == (ell, 1, k)
+        report = LinearLowerBoundExperiment(params).run(num_samples=3)
+        assert report.num_nodes == n
+        assert (report.gap.min_intersecting, report.gap.max_disjoint) == (inter, disj)
+        assert round(report.gap.measured_ratio, 3) == ratio
+
+    @pytest.mark.parametrize("t, ell", sorted(THEOREM2_TABLE))
+    def test_theorem2_row(self, t, ell):
+        from benchmarks.bench_theorem2_quadratic_gap import SWEEP
+
+        n, inter, disj, ratio = THEOREM2_TABLE[(t, ell)]
+        params = GadgetParameters(ell=ell, alpha=1, t=t)
+        assert params in SWEEP
+        report = QuadraticLowerBoundExperiment(params).run(num_samples=2)
+        assert report.num_nodes == n
+        assert (report.gap.min_intersecting, report.gap.max_disjoint) == (inter, disj)
+        assert round(report.gap.measured_ratio, 3) == ratio
+
+    def test_theorem2_table_covers_the_bench_sweep(self):
+        from benchmarks.bench_theorem2_quadratic_gap import SWEEP
+
+        assert sorted((p.t, p.ell) for p in SWEEP) == sorted(THEOREM2_TABLE)
