@@ -26,10 +26,15 @@ per-chunk overhead stays amortized; pass ``chunk_size=1`` for maximal
 load balancing of coarse units.
 
 The process backend has one dispatch loop, a ``wait(FIRST_COMPLETED)``
-loop over the chunk futures, and one cleanup that runs on every exit
-(success, a unit raising, a broken pool, a requeue): it disarms the
-watchdog, shuts the pool down, stops the telemetry drainer and closes
-its queue.  A live monitor (:class:`~repro.obs.live.LiveMonitor`,
+loop over the chunk futures, and one cleanup.  An unmonitored run takes
+the process's reused pool (``docs/PARALLEL.md``, "Pool lifecycle"):
+forked on first use, keyed by what a forked worker inherits (worker
+count, start method, store configuration), and shut down after any exit
+but a clean finish and at interpreter exit.  A monitored run forks a
+pool of its own, because the live channel is bound when a worker is
+created and a requeue kills workers; on every exit its cleanup shuts
+that pool down, disarms the watchdog, stops the telemetry drainer and
+closes its queue.  A live monitor (:class:`~repro.obs.live.LiveMonitor`,
 ``docs/OBSERVABILITY.md`` "Live monitoring") is an optional consumer
 of that loop: it adds a heartbeat queue that every worker is
 initialized with (:func:`repro.parallel.jobs.init_live_channel`), a
@@ -49,13 +54,14 @@ function of its payload.
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import os
 import signal
 import sys
 import threading
 import time
-from typing import AbstractSet, Any, Dict, List, Optional, Sequence, Set
+from typing import AbstractSet, Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import obs
 from ..obs.live import serial_worker_id
@@ -64,6 +70,65 @@ from . import jobs
 #: Seconds a monitored dispatch loop waits per ``wait()`` round before
 #: re-polling the watchdog.
 _LIVE_POLL_S = 0.1
+
+#: The pool that unmonitored runs reuse, as ``(key, executor)``; see
+#: :func:`_shared_pool`.  ``_POOL_LOCK`` guards get-or-create, because
+#: ``repro serve`` runs sweeps from its dispatcher thread.
+_POOL: Optional[Tuple[Tuple[Any, ...], Any]] = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool_key(workers: int, mp_context: Any) -> Tuple[Any, ...]:
+    """Everything a forked worker inherits that its results depend on.
+
+    Workers keep the store configuration they were forked under, so a
+    store switched on, off or to another disk root needs new workers.
+    """
+    from .. import store
+
+    mode = store.store_mode()
+    root = str(store.get_store().backend.root) if mode == "disk" else None
+    method = mp_context.get_start_method() if mp_context is not None else None
+    return (workers, method, mode, root)
+
+
+def _shared_pool(workers: int, mp_context: Any) -> Any:
+    """The reused pool for this key, forking a new one on first use.
+
+    A pool under another key, or one that lost a worker while idle, is
+    shut down first, so no worker outlives the store configuration it
+    was forked under and an idle death does not fail the next run.
+    """
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    global _POOL
+    key = _pool_key(workers, mp_context)
+    with _POOL_LOCK:
+        if _POOL is not None:
+            if _POOL[0] == key and not _POOL[1]._broken:
+                return _POOL[1]
+            _POOL[1].shutdown(wait=True)
+            _POOL = None
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=mp_context)
+        _POOL = (key, pool)
+        return pool
+
+
+def close_pool(pool: Any = None) -> None:
+    """Shut down the reused pool (or ``pool``) and forget it.
+
+    The next unmonitored run forks a fresh pool.  Called after a run
+    that did not finish cleanly, and at interpreter exit.
+    """
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is not None and (pool is None or pool is _POOL[1]):
+            pool, _POOL = _POOL[1], None
+    if pool is not None:
+        pool.shutdown(wait=True)
+
+
+atexit.register(close_pool)
 
 
 def chunked(items: Sequence[Any], chunk_size: int) -> List[List[Any]]:
@@ -184,8 +249,9 @@ class ProcessPoolBackend:
         """Execute units on the pool; fall back to serial if it won't start.
 
         The one dispatch loop (see the module docstring): a monitor adds
-        the live channel, a drainer thread and watchdog polls to it, and
-        the ``finally`` block cleans up after every exit.
+        a pool of its own, the live channel, a drainer thread and
+        watchdog polls to it, and the ``finally`` block cleans up after
+        every exit.
         """
         record_obs = obs.is_enabled()
         payloads: List[jobs.Payload] = [
@@ -205,20 +271,19 @@ class ProcessPoolBackend:
                 ProcessPoolExecutor,
             )
 
-            initializer, initargs = None, ()
-            if monitor is not None:
+            if monitor is None:
+                pool = _shared_pool(self.workers, self._mp_context)
+            else:
                 import multiprocessing
 
                 context = self._mp_context or multiprocessing.get_context()
                 channel = context.Queue()
-                initializer = jobs.init_live_channel
-                initargs = (channel, monitor.heartbeat_interval_s)
-            pool = ProcessPoolExecutor(
-                max_workers=min(self.workers, len(chunks)),
-                mp_context=self._mp_context,
-                initializer=initializer,
-                initargs=initargs,
-            )
+                pool = ProcessPoolExecutor(
+                    max_workers=self.workers,
+                    mp_context=self._mp_context,
+                    initializer=jobs.init_live_channel,
+                    initargs=(channel, monitor.heartbeat_interval_s),
+                )
         except (OSError, ImportError, ValueError) as error:
             print(
                 f"repro.parallel: process pool unavailable ({error}); "
@@ -236,13 +301,12 @@ class ProcessPoolBackend:
             )
             drainer.start()
             monitor.arm_watchdog()
-        requeue = False
+        requeue = finished = False
         stalled: List[Dict[str, Any]] = []
+        pending: Set[Any] = set()
         try:
-            pending = {
-                pool.submit(jobs.execute_chunk, chunk, unit_uids)
-                for chunk in chunks
-            }
+            for chunk in chunks:
+                pending.add(pool.submit(jobs.execute_chunk, chunk, unit_uids))
             while pending:
                 done, pending = wait(
                     pending,
@@ -269,15 +333,21 @@ class ProcessPoolBackend:
                         "a pool worker died mid-sweep; rerun with "
                         "--watchdog-requeue to degrade to serial instead"
                     )
+            finished = True
         finally:
-            if requeue:
-                # Abandon the pool: kill the wedged workers rather
-                # than wait on them.
-                for report in stalled:
-                    with contextlib.suppress(OSError):
-                        os.kill(report["worker"], signal.SIGKILL)
-            pool.shutdown(wait=not requeue, cancel_futures=True)
-            if monitor is not None:
+            if monitor is None:
+                if not finished:
+                    for future in pending:
+                        future.cancel()
+                    close_pool(pool)
+            else:
+                if requeue:
+                    # Abandon the pool: kill the wedged workers rather
+                    # than wait on them.
+                    for report in stalled:
+                        with contextlib.suppress(OSError):
+                            os.kill(report["worker"], signal.SIGKILL)
+                pool.shutdown(wait=not requeue, cancel_futures=True)
                 monitor.disarm_watchdog()
                 # After a clean finish, give in-flight telemetry a
                 # moment to arrive before the drainer stops.

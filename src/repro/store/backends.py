@@ -165,10 +165,15 @@ class DiskBackend:
     def put(self, key: str, codec: str, data: bytes, kind: str = "") -> None:
         """Write the payload atomically, then upsert the index row."""
         path = self._payload_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         temporary = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
-            temporary.write_bytes(data)
+            try:
+                temporary.write_bytes(data)
+            except FileNotFoundError:
+                # The first write into this shard, or its directory was
+                # removed: create it and retry once.
+                path.parent.mkdir(parents=True, exist_ok=True)
+                temporary.write_bytes(data)
             os.replace(temporary, path)
         except OSError:
             with contextlib.suppress(OSError):

@@ -3,6 +3,7 @@
 A unit that raises, or a worker that dies, must end the sweep with an
 exception *and* a torn-down pool: no worker process, no executor
 thread, and (under a live monitor) no telemetry drainer left running.
+The next run forks a fresh pool and succeeds.
 The watchdog tests in ``tests/obs_live/test_watchdog.py`` cover stalls
 and requeue; these cover the paths that raise.
 """
@@ -51,6 +52,16 @@ def _leftovers(children_before, timeout_s=2.0):
 
 
 class TestRaisingUnit:
+    def test_unmonitored_pool_is_closed_and_the_next_run_succeeds(self):
+        backends_module.close_pool()
+        before = set(multiprocessing.active_children())
+        ok = WorkUnit("nap/ok", "nap", {"seconds": 0.05, "value": 1.0})
+        assert run_units([ok, ok], workers=2) == [1.0, 1.0]
+        with pytest.raises(TypeError):
+            run_units([ok, WorkUnit("nap/bad", "nap", {"seconds": "x"})], workers=2)
+        assert _leftovers(before) == ([], [])
+        assert run_units([ok, ok], workers=2) == [1.0, 1.0]
+
     def test_monitored_pool_is_torn_down(self):
         units = [
             WorkUnit("nap/ok", "nap", {"seconds": 0.05, "value": 1.0}),
@@ -73,6 +84,7 @@ class TestRaisingUnit:
 )
 class TestKilledWorker:
     def test_broken_pool_names_requeue_and_leaves_no_child(self, monkeypatch):
+        backends_module.close_pool()
         monkeypatch.setitem(jobs.JOB_KINDS, "die", _die)
         units = [
             WorkUnit("nap/0", "nap", {"seconds": 0.05, "value": 0.0}),
@@ -82,3 +94,11 @@ class TestKilledWorker:
         with pytest.raises(BrokenProcessPool, match="--watchdog-requeue"):
             run_units(units, workers=2)
         assert _leftovers(before) == ([], [])
+
+    def test_next_run_gets_a_fresh_pool(self, monkeypatch):
+        backends_module.close_pool()
+        monkeypatch.setitem(jobs.JOB_KINDS, "die", _die)
+        with pytest.raises(BrokenProcessPool):
+            run_units([WorkUnit("die/0", "die", {})], workers=2)
+        units = [WorkUnit(f"probe/{x}", "probe", {"x": x}) for x in (3, 1, 4)]
+        assert run_units(units, workers=2) == [9, 1, 16]

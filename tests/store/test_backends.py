@@ -81,6 +81,18 @@ class TestDiskBackend:
         (tmp_path / "cache" / "objects" / "cd" / f"{key}.bin").unlink()
         assert backend.get(key) is None
 
+    def test_put_recreates_a_removed_shard_directory(self, tmp_path):
+        import shutil
+
+        backend = DiskBackend(tmp_path / "cache")
+        first, second = "ef" + "0" * 62, "ef" + "1" * 62
+        backend.put(first, "json", b"one", kind="test")
+        shutil.rmtree(tmp_path / "cache" / "objects" / "ef")
+        backend.put(second, "json", b"two", kind="test")
+        assert backend.get(second) == ("json", b"two")
+        assert backend.get(first) is None
+        assert not list((tmp_path / "cache" / "objects" / "ef").glob("*.tmp"))
+
     def test_clear_removes_index_and_payloads(self, tmp_path):
         backend = DiskBackend(tmp_path / "cache")
         backend.put("a" * 64, "json", b"xx", kind="t")
