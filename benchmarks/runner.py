@@ -2,7 +2,7 @@
 
 ``pytest benchmarks/`` regenerates the paper's figures; *this* module
 answers a different question — are the hot paths getting faster or
-quietly regressing?  It keeps a small curated suite of nine benches,
+quietly regressing?  It keeps a small curated suite of six benches,
 one per hot path the reproduction leans on:
 
 * ``construction_build`` — gadget graph construction (linear + quadratic);
@@ -12,19 +12,11 @@ one per hot path the reproduction leans on:
   reducible family plus the gadget instance, with the nodes-removed
   ratio recorded as gauges in the trajectory record;
 * ``congest_trace``      — ExecutionTrace round loop driving Luby's MIS;
-* ``theorem5_simulation`` — the full Theorem 5 player simulation;
-* ``sweep_parallel``     — the repro.parallel engine's scaling: one
-  balanced theorem sweep at ``--workers 1`` vs ``--workers N``, with
-  the measured speedup recorded as gauges in the trajectory record;
-* ``sweep_cache``        — the repro.store result store's payoff: the
-  same theorem sweep cold (empty disk store) vs warm (fully cached),
-  with ``cache.cold_s``/``cache.warm_s``/``cache.speedup_x`` recorded
-  as gauges in the trajectory record;
-* ``sweep_serve``        — the repro.serve service plane under mixed
-  concurrent load (the :mod:`benchmarks.bench_serve` generator): one
-  cold and one warm pass against a fresh disk store, with p50/p99
-  latency, throughput, the coalesce rate, and the cold-vs-warm wall
-  times recorded as ``serve.*`` gauges in the trajectory record.
+* ``theorem5_simulation`` — the full Theorem 5 player simulation.
+
+The end-to-end numbers — theorem sweeps serial and pooled, cold and warm
+cached sweeps, serve latency and throughput — are ``perfbench/``'s
+job (``docs/BENCHMARKS.md``); this suite times the pieces below them.
 
 Each bench is run ``warmup`` times untimed and ``repeats`` times timed
 with observability *off* (so the timings measure the hot path, not the
@@ -47,11 +39,9 @@ from the repository root.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import random
 import sys
-import tempfile
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -123,7 +113,7 @@ def _fixture(key: str, build: Callable[[], Any]) -> Any:
 
 
 # ----------------------------------------------------------------------
-# The nine benches
+# The six benches
 # ----------------------------------------------------------------------
 
 
@@ -277,127 +267,6 @@ def bench_theorem5_simulation():
     return report.blackboard_bits
 
 
-#: Worker-process count the ``sweep_parallel`` bench scales to.  Set by
-#: ``run_suite(sweep_workers=...)`` (``repro bench --workers N``);
-#: ``None`` means min(4, cpu count).
-_SWEEP_WORKERS: Optional[int] = None
-
-
-def resolved_sweep_workers() -> int:
-    """The effective worker count for the scaling bench."""
-    if _SWEEP_WORKERS is not None:
-        return max(1, _SWEEP_WORKERS)
-    return min(4, os.cpu_count() or 1)
-
-
-@bench("sweep_parallel", sweep="theorem1", t=4, num_samples=4, seeds=8)
-def bench_sweep_parallel():
-    """Serial-vs-parallel wall time of one balanced theorem sweep.
-
-    Eight equally sized Theorem 1 points (t=4, distinct seeds) run
-    through the repro.parallel engine twice — ``workers=1`` (serial
-    backend) and ``workers=N`` (process pool).  The timed samples the
-    trajectory keeps measure the whole double run; the gauges recorded
-    during the manifest pass expose the scaling itself:
-    ``parallel.serial_s``, ``parallel.parallel_s``,
-    ``parallel.speedup_x``, and ``parallel.workers``.
-    """
-    from repro import obs
-    from repro.parallel import WorkUnit, run_units
-
-    units = [
-        WorkUnit(
-            uid=f"sweep/seed={seed}",
-            kind="theorem1_point",
-            kwargs={"t": 4, "num_samples": 4, "seed": seed},
-        )
-        for seed in range(8)
-    ]
-    workers = resolved_sweep_workers()
-    start = time.perf_counter()
-    serial = run_units(units, workers=1)
-    serial_s = time.perf_counter() - start
-    start = time.perf_counter()
-    parallel = run_units(units, workers=workers, chunk_size=1)
-    parallel_s = time.perf_counter() - start
-    if len(serial) != len(parallel) or any(
-        s.gap.measured_ratio != p.gap.measured_ratio
-        for s, p in zip(serial, parallel)
-    ):
-        raise AssertionError("serial and parallel sweeps disagree")
-    recorder = obs.get_recorder()
-    recorder.gauge("parallel.workers", workers)
-    recorder.gauge("parallel.serial_s", serial_s)
-    recorder.gauge("parallel.parallel_s", parallel_s)
-    recorder.gauge(
-        "parallel.speedup_x", serial_s / parallel_s if parallel_s else 0.0
-    )
-    return serial_s / parallel_s if parallel_s else 0.0
-
-
-@bench("sweep_cache", sweep="theorem1", t=3, num_samples=2, seeds=4)
-def bench_sweep_cache():
-    """Cold-vs-warm wall time of one theorem sweep through the store.
-
-    Four Theorem 1 points (t=3, distinct seeds) run twice against a
-    fresh on-disk result store in a temporary directory: once cold
-    (every unit computed and written back) and once warm (every unit
-    answered from the store without dispatching).  Each invocation
-    builds its own store, so the timed repeats all measure the same
-    cold-then-warm cycle.  The timed samples cover the whole double
-    run; the manifest-pass gauges expose the payoff itself:
-    ``cache.cold_s``, ``cache.warm_s``, and ``cache.speedup_x``.
-    """
-    from repro import obs, store
-    from repro.core import report_to_json
-    from repro.parallel import WorkUnit, run_units
-
-    units = [
-        WorkUnit(
-            uid=f"cache/seed={seed}",
-            kind="theorem1_point",
-            kwargs={"t": 3, "num_samples": 2, "seed": seed},
-        )
-        for seed in range(4)
-    ]
-    with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
-        with store.using_store("disk", path=tmp):
-            start = time.perf_counter()
-            cold = run_units(units, workers=1)
-            cold_s = time.perf_counter() - start
-            start = time.perf_counter()
-            warm = run_units(units, workers=1)
-            warm_s = time.perf_counter() - start
-    if [report_to_json(r) for r in cold] != [report_to_json(r) for r in warm]:
-        raise AssertionError("cold and warm cached sweeps disagree")
-    recorder = obs.get_recorder()
-    recorder.gauge("cache.cold_s", cold_s)
-    recorder.gauge("cache.warm_s", warm_s)
-    recorder.gauge("cache.speedup_x", cold_s / warm_s if warm_s else 0.0)
-    return cold_s / warm_s if warm_s else 0.0
-
-
-@bench("sweep_serve", requests=240, concurrency=12, cache="disk")
-def bench_sweep_serve():
-    """Mixed-load cold-vs-warm pass through the HTTP service.
-
-    The :mod:`benchmarks.bench_serve` load generator drives an
-    in-process :class:`repro.serve.BackgroundServer` with 240 mixed
-    requests (gadget builds, claim checks, MaxIS solves, health and
-    metrics scrapes, with deliberate duplicates) from 12 concurrent
-    client workers, twice against one fresh disk store: the cold pass
-    pays every computation and coalesces concurrent duplicates, the
-    warm pass answers from the store.  The timed samples cover the
-    whole double run; the manifest-pass gauges expose the service-plane
-    numbers the trajectory tracks: ``serve.p50_ms``, ``serve.p99_ms``,
-    ``serve.throughput_rps``, ``serve.coalesce_rate``,
-    ``serve.cold_s``/``serve.warm_s``, and ``serve.warm_speedup_x``.
-    """
-    from benchmarks.bench_serve import bench_pass
-
-    return bench_pass()
-
-
 # ----------------------------------------------------------------------
 # Robust statistics
 # ----------------------------------------------------------------------
@@ -494,79 +363,35 @@ def run_suite(
     repeats: int = 5,
     only: Optional[Sequence[str]] = None,
     out_dir: Optional[str] = None,
-    sweep_workers: Optional[int] = None,
-    cache_mode: str = "off",
 ) -> Tuple[pathlib.Path, Dict[str, Any]]:
-    """Run the suite; write and return the ``BENCH_<sha>.json`` record.
-
-    ``sweep_workers`` pins the worker-process count the
-    ``sweep_parallel`` bench scales to (default min(4, cpu count)).
-
-    ``cache_mode`` runs the whole suite under a configured result store
-    (``repro bench --cache memory|disk``) — the benches then measure
-    the *cached* hot paths, which answers a different question than the
-    default, so the mode is recorded in the config whenever it is not
-    ``off`` and such trajectories should only be compared like-for-like.
-    (``sweep_cache`` always builds its own private disk store either
-    way.)
-    """
-    from repro import store as result_store
-
-    global _SWEEP_WORKERS
-    if sweep_workers is not None:
-        _SWEEP_WORKERS = sweep_workers
+    """Run the suite; write and return the ``BENCH_<sha>.json`` record."""
     provenance = run_provenance()
     specs = discover(only)
-    config: Dict[str, Any] = {"warmup": warmup, "repeats": repeats}
-    if any(spec.name == "sweep_parallel" for spec in specs):
-        # Machine-dependent, so recorded only when the scaling bench
-        # actually runs — other runs stay comparable across hosts.
-        config["sweep_workers"] = resolved_sweep_workers()
-    if cache_mode != "off":
-        config["cache_mode"] = cache_mode
     trajectory: Dict[str, Any] = {
         "schema_version": BENCH_SCHEMA_VERSION,
         "event_schema_version": SCHEMA_VERSION,
         "kind": "bench_trajectory",
         "provenance": provenance,
-        "config": config,
+        "config": {"warmup": warmup, "repeats": repeats},
         "benches": {},
     }
     rows = []
-    # `repro bench --live`: each bench is one progress unit on the
-    # ambient monitor, so the status line / live.jsonl / HTTP exporter
-    # show suite progress even though benches run serially here.
-    from repro.obs.live import get_monitor, serial_worker_id
-
-    monitor = get_monitor()
-    if monitor is not None:
-        monitor.sweep_started(len(specs))
-    with result_store.using_store(cache_mode):
-        for spec in specs:
-            print(f"bench {spec.name} ... ", end="", flush=True)
-            if monitor is not None:
-                monitor.unit_started(f"bench/{spec.name}", serial_worker_id())
-            bench_start = time.perf_counter()
-            record = run_bench(spec, warmup=warmup, repeats=repeats)
-            if monitor is not None:
-                monitor.unit_finished(
-                    f"bench/{spec.name}",
-                    serial_worker_id(),
-                    time.perf_counter() - bench_start,
-                )
-            trajectory["benches"][spec.name] = record
-            wall = record["wall"]
-            print(f"median {wall['median_s'] * 1000:.2f}ms")
-            rows.append(
-                [
-                    spec.name,
-                    round(wall["median_s"] * 1000, 3),
-                    round(wall["iqr_s"] * 1000, 3),
-                    round(wall["min_s"] * 1000, 3),
-                    round(wall["max_s"] * 1000, 3),
-                    wall["outliers_rejected"],
-                ]
-            )
+    for spec in specs:
+        print(f"bench {spec.name} ... ", end="", flush=True)
+        record = run_bench(spec, warmup=warmup, repeats=repeats)
+        trajectory["benches"][spec.name] = record
+        wall = record["wall"]
+        print(f"median {wall['median_s'] * 1000:.2f}ms")
+        rows.append(
+            [
+                spec.name,
+                round(wall["median_s"] * 1000, 3),
+                round(wall["iqr_s"] * 1000, 3),
+                round(wall["min_s"] * 1000, 3),
+                round(wall["max_s"] * 1000, 3),
+                wall["outliers_rejected"],
+            ]
+        )
     print()
     print(
         render_table(

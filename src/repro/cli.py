@@ -21,12 +21,11 @@ Commands
 Parallelism (see ``docs/PARALLEL.md``): ``theorem1``, ``theorem2``, and
 ``claims`` accept ``--workers N`` to fan their independent work units
 out to N worker processes via :mod:`repro.parallel`; output is
-guaranteed identical to the serial run.  ``bench --workers N`` sets the
-worker count the ``sweep_parallel`` scaling bench measures.
+guaranteed identical to the serial run.
 
-Caching (see ``docs/CACHING.md``): the sweep commands and ``bench``
-accept ``--cache=off|memory|disk`` (plus ``--cache-dir``) to memoize
-gadget graphs, code tables, MaxIS optima, and whole sweep units in the
+Caching (see ``docs/CACHING.md``): the sweep commands accept
+``--cache=off|memory|disk`` (plus ``--cache-dir``) to memoize gadget
+graphs, code tables, MaxIS optima, and whole sweep units in the
 content-addressed result store (:mod:`repro.store`); warm runs produce
 byte-identical output.  ``repro cache stats|clear|warm`` manages the
 on-disk store.
@@ -48,8 +47,8 @@ documented in ``docs/BENCHMARKS.md``; the dashboard in
 ``docs/DASHBOARD.md``.
 
 Live telemetry (the "Live monitoring" section of
-``docs/OBSERVABILITY.md``): ``theorem1``, ``theorem2``, ``claims``,
-and ``bench`` accept ``--live`` (in-place terminal status line),
+``docs/OBSERVABILITY.md``): ``theorem1``, ``theorem2`` and
+``claims`` accept ``--live`` (in-place terminal status line),
 ``--live-out PATH`` (append-only ``live.jsonl`` stream, replayable
 by ``repro stats``), ``--metrics-port PORT`` (background
 HTTP server with Prometheus ``/metrics`` plus ``/progress`` and
@@ -787,18 +786,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
         except (FileNotFoundError, ValueError) as error:
             print(f"repro bench --compare: {error}", file=sys.stderr)
             return 2
+    try:
+        runner.discover(args.only)
+    except KeyError as error:
+        print(f"repro bench: {error.args[0]}", file=sys.stderr)
+        return 2
     warmup, repeats = args.warmup, args.repeats
     if args.fast:
         warmup, repeats = 1, 3
-    with _cached(args), _live(args):
-        path, trajectory = runner.run_suite(
-            warmup=warmup,
-            repeats=repeats,
-            only=args.only or None,
-            out_dir=args.out,
-            sweep_workers=args.workers,
-            cache_mode=args.cache,
-        )
+    path, trajectory = runner.run_suite(
+        warmup=warmup, repeats=repeats, only=args.only, out_dir=args.out
+    )
     print(f"\n[trajectory written to {path}]")
     return 0
 
@@ -997,8 +995,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Run the async verification service (``docs/SERVE.md``).
 
     Binds the asyncio HTTP front-end, announces the URL on stderr
-    (``[serve: http://...]`` — the CI smoke job and the bench load
-    generator parse this line), and serves until SIGINT/SIGTERM.
+    (``[serve: http://...]`` — the CI smoke jobs parse this line), and
+    serves until SIGINT/SIGTERM.
     The metrics plane mounts inside the service's own event loop via
     :class:`~repro.obs.httpexp.MetricsSuite` — ``repro serve`` never
     starts a second metrics server.
@@ -1200,8 +1198,12 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="run the curated bench suite, or --compare two BENCH_*.json files",
     )
-    bench.add_argument("--warmup", type=int, default=2, help="warmup runs per bench")
-    bench.add_argument("--repeats", type=int, default=5, help="timed runs per bench")
+    bench.add_argument(
+        "--warmup", type=_int_at_least(0), default=2, help="warmup runs per bench"
+    )
+    bench.add_argument(
+        "--repeats", type=_int_at_least(1), default=5, help="timed runs per bench"
+    )
     bench.add_argument(
         "--fast", action="store_true", help="shorthand for --warmup 1 --repeats 3"
     )
@@ -1238,18 +1240,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="report regressions but exit 0 (CI non-blocking mode)",
     )
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "worker-process count the sweep_parallel scaling bench runs at "
-            "(default min(4, cpu count))"
-        ),
-    )
-    _add_cache_args(bench)
-    _add_live_args(bench)
     bench.set_defaults(func=cmd_bench)
 
     dashboard = subparsers.add_parser(
@@ -1334,7 +1324,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workers_arg(serve)
     serve.add_argument(
         "--queue-limit",
-        type=int,
+        type=_int_at_least(1),
         default=64,
         metavar="N",
         help=(

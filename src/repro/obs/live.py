@@ -443,7 +443,7 @@ def get_monitor() -> Optional[LiveMonitor]:
 def using_monitor(monitor: Optional[LiveMonitor]) -> Iterator[Optional[LiveMonitor]]:
     """Install ``monitor`` as the process-global monitor for a block.
 
-    The engine, the backends, and the bench runner all consult
+    The engine and the backends consult
     :func:`get_monitor` rather than threading a parameter through
     every call.  ``None`` is accepted (and simply keeps telemetry
     off) so callers can pass their flag state straight through.

@@ -241,51 +241,6 @@ def stall_totals(
     }
 
 
-def serve_summary(results_dir: pathlib.Path) -> Optional[Dict[str, Any]]:
-    """The newest ``sweep_serve`` load-bench gauges from the trajectory.
-
-    The serve subsystem's service-plane numbers — p50/p99 latency,
-    throughput, coalesce rate, cold-vs-warm wall times (see
-    ``docs/SERVE.md``) — as recorded by the ``sweep_serve`` bench in
-    the most recent ``BENCH_*.json`` that ran it.  ``None`` when no
-    collected trajectory includes the bench, so the dashboard can omit
-    the section like the other optional panels.
-    """
-    for path, record in reversed(_load_trajectories(results_dir)):
-        entry = (record.get("benches") or {}).get("sweep_serve")
-        if not entry:
-            continue
-        gauges = entry.get("gauges") or {}
-        if not gauges:
-            continue
-        # Per-endpoint slow-request exemplars ride the bench gauges as
-        # ``serve.exemplar_ms.<endpoint>`` (the endpoint is a route
-        # template like ``POST /v1/maxis``); split them out so the
-        # dashboard can render them as their own sub-table.
-        exemplar_prefix = "serve.exemplar_ms."
-        exemplars = [
-            {
-                "endpoint": name[len(exemplar_prefix):],
-                "worst_ms": value,
-            }
-            for name, value in sorted(gauges.items())
-            if name.startswith(exemplar_prefix)
-        ]
-        return {
-            "git_sha": record.get("provenance", {}).get("git_sha", "unknown"),
-            "trajectory": path.name,
-            "parameters": entry.get("parameters") or {},
-            "gauges": {
-                name: value
-                for name, value in sorted(gauges.items())
-                if name.startswith("serve.")
-                and not name.startswith(exemplar_prefix)
-            },
-            "exemplars": exemplars,
-        }
-    return None
-
-
 def collect_report(
     results_dir: pathlib.Path,
     seed: int = 0,
@@ -334,5 +289,4 @@ def collect_report(
         "telemetry": telemetry,
         "cache": cache_totals(manifests),
         "stalls": stall_totals(manifests),
-        "serve": serve_summary(results_dir),
     }

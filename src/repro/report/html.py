@@ -220,89 +220,6 @@ def _cache_section(data: Dict[str, Any]) -> List[str]:
     return out
 
 
-#: The sweep_serve gauges the serve panel knows how to label/format.
-_SERVE_PANEL_ROWS = [
-    ("p50 latency", "serve.p50_ms", "{:.2f} ms"),
-    ("p99 latency", "serve.p99_ms", "{:.2f} ms"),
-    ("throughput", "serve.throughput_rps", "{:.0f} req/s"),
-    ("coalesce rate (cold pass)", "serve.coalesce_rate", "{:.1%}"),
-    ("cold pass wall", "serve.cold_s", "{:.3f} s"),
-    ("warm pass wall", "serve.warm_s", "{:.3f} s"),
-    ("warm speedup", "serve.warm_speedup_x", "{:.2f}×"),
-]
-
-
-def _serve_section(data: Dict[str, Any]) -> List[str]:
-    """The serve subsystem's panel: load-bench gauges + slow exemplars.
-
-    Renders the latest ``sweep_serve`` gauges collected from the bench
-    trajectory — the service-plane numbers docs/SERVE.md promises:
-    p50/p99 latency, throughput, coalesce rate, and the cold-vs-warm
-    wall times — plus per-endpoint slow-request exemplars
-    (``serve.exemplar_ms.*`` gauges with their trace ids) when the
-    bench recorded them.  The panel always renders: with no
-    ``sweep_serve`` trajectory (or none of the recognized gauges) it
-    degrades to an explicit "no data" row instead of an empty or
-    missing table, so a dashboard reader can tell "bench never ran"
-    from a rendering bug.
-    """
-    out = ["<h2>Verification service (serve)</h2>"]
-    serve = data.get("serve")
-    gauges = (serve or {}).get("gauges") or {}
-    known = [row for row in _SERVE_PANEL_ROWS if row[1] in gauges]
-    if not serve or not known:
-        out.append(
-            '<p class="meta">No <code>sweep_serve</code> gauges in the '
-            "collected trajectories — run "
-            "<code>python benchmarks/run_benchmarks.py --only sweep_serve"
-            "</code> to populate this panel (see docs/SERVE.md).</p>"
-        )
-        out.append("<table>")
-        out.append("<tr><th>measure</th><th>value</th></tr>")
-        out.append('<tr><td colspan="2">no data</td></tr>')
-        out.append("</table>")
-        return out
-    parameters = ", ".join(
-        f"{key}={value}" for key, value in sorted(serve["parameters"].items())
-    )
-    out.append(
-        f'<p class="meta">sweep_serve @ <code>{_esc(serve["git_sha"])}</code> '
-        f"({_esc(parameters)}) from "
-        f'<code>{_esc(serve["trajectory"])}</code> — see docs/SERVE.md.</p>'
-    )
-    out.append("<table>")
-    out.append("<tr><th>measure</th><th>value</th></tr>")
-    for label, gauge, fmt in known:
-        out.append(
-            "<tr>"
-            f"<td>{_esc(label)}</td>"
-            f"<td>{_esc(fmt.format(gauges[gauge]))}</td>"
-            "</tr>"
-        )
-    out.append("</table>")
-    exemplars = (serve or {}).get("exemplars") or []
-    if exemplars:
-        out.append("<h3>Slow-request exemplars</h3>")
-        out.append(
-            '<p class="meta">Worst observed request per endpoint during '
-            "the bench's load passes; on a live service the matching "
-            "traces are retained and listed at <code>GET /v1/traces"
-            "</code> (slow requests are always tail-sampled in).</p>"
-        )
-        out.append("<table>")
-        out.append("<tr><th>endpoint</th><th>worst ms</th></tr>")
-        for exemplar in exemplars:
-            worst_ms = float(exemplar.get("worst_ms", 0.0))
-            out.append(
-                "<tr>"
-                f'<td>{_esc(str(exemplar.get("endpoint", "?")))}</td>'
-                f"<td>{_esc(f'{worst_ms:.2f}')}</td>"
-                "</tr>"
-            )
-        out.append("</table>")
-    return out
-
-
 def _stall_section(data: Dict[str, Any]) -> List[str]:
     """Watchdog stall reports folded in from run manifests, if any.
 
@@ -397,7 +314,6 @@ def render_report(data: Dict[str, Any]) -> str:
     parts.extend(_trajectory_section(data))
     parts.extend(_telemetry_section(data))
     parts.extend(_cache_section(data))
-    parts.extend(_serve_section(data))
     parts.extend(_stall_section(data))
     parts.extend(_manifest_section(data))
     parts.append("</body></html>")

@@ -12,8 +12,8 @@ HTTP/1.1, and ``Connection: close`` honored.  Anything else (chunked
 uploads, expect-continue, upgrades) is declined with a structured 4xx.
 
 :class:`BackgroundServer` runs the same server on a daemon thread with
-its own event loop — the shape the in-process tests and the
-``bench_serve`` load generator share — while :func:`run` is the
+its own event loop — the shape the in-process tests and perfbench's
+serve phase share — while :func:`run` is the
 foreground entry the CLI uses, exiting 0 on SIGINT/SIGTERM.
 """
 
@@ -345,8 +345,8 @@ def run(
 class BackgroundServer:
     """The same server on a daemon thread with its own event loop.
 
-    The in-process shape shared by the test suite and the
-    ``bench_serve`` load generator: ``start()`` blocks until the socket
+    The in-process shape shared by the test suite and perfbench's
+    serve phase: ``start()`` blocks until the socket
     is bound and exposes ``url``/``port``; ``close()`` stops the loop
     and joins the thread.
     """

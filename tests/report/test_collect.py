@@ -224,91 +224,6 @@ class TestTrajectoriesAndCache:
         assert collect.stall_totals(manifests)["stalled_units"] == 1
 
 
-def _trajectory(git_sha="abc123", benches=None):
-    return {
-        "kind": "bench_trajectory",
-        "schema_version": 1,
-        "provenance": {"git_sha": git_sha},
-        "benches": benches or {},
-    }
-
-
-class TestServeSummary:
-    SWEEP_SERVE = {
-        "parameters": {"requests": 240, "concurrency": 12, "cache": "disk"},
-        "gauges": {
-            "serve.p50_ms": 20.5,
-            "serve.p99_ms": 33.1,
-            "serve.throughput_rps": 540.0,
-            "serve.coalesce_rate": 0.39,
-            "serve.cold_s": 0.45,
-            "serve.warm_s": 0.44,
-            "serve.warm_speedup_x": 1.02,
-            "unrelated.gauge": 7.0,
-        },
-    }
-
-    def test_none_without_a_trajectory(self, tmp_path):
-        assert collect.serve_summary(tmp_path) is None
-
-    def test_none_when_no_trajectory_ran_the_bench(self, tmp_path):
-        _write(tmp_path, "BENCH_aaa", _trajectory(benches={"maxis_exact": {}}))
-        assert collect.serve_summary(tmp_path) is None
-
-    def test_latest_sweep_serve_gauges_win(self, tmp_path):
-        import os
-
-        old = _trajectory(
-            git_sha="old",
-            benches={"sweep_serve": dict(self.SWEEP_SERVE, gauges={"serve.p50_ms": 99.0})},
-        )
-        new = _trajectory(git_sha="new", benches={"sweep_serve": self.SWEEP_SERVE})
-        old_path = _write(tmp_path, "BENCH_old", old)
-        new_path = _write(tmp_path, "BENCH_new", new)
-        os.utime(old_path, (1, 1))
-        os.utime(new_path, (2, 2))
-        summary = collect.serve_summary(tmp_path)
-        assert summary["git_sha"] == "new"
-        assert summary["trajectory"] == "BENCH_new.json"
-        assert summary["parameters"]["requests"] == 240
-        assert summary["gauges"]["serve.p50_ms"] == 20.5
-        # Only serve.* gauges belong to the panel.
-        assert "unrelated.gauge" not in summary["gauges"]
-
-    def test_exemplar_gauges_split_out_of_the_gauge_table(self, tmp_path):
-        gauges = dict(
-            self.SWEEP_SERVE["gauges"],
-            **{
-                "serve.exemplar_ms.POST /v1/maxis": 812.25,
-                "serve.exemplar_ms.GET /health": 3.5,
-            },
-        )
-        _write(
-            tmp_path,
-            "BENCH_aaa",
-            _trajectory(
-                benches={"sweep_serve": dict(self.SWEEP_SERVE, gauges=gauges)}
-            ),
-        )
-        summary = collect.serve_summary(tmp_path)
-        assert summary["exemplars"] == [
-            {"endpoint": "GET /health", "worst_ms": 3.5},
-            {"endpoint": "POST /v1/maxis", "worst_ms": 812.25},
-        ]
-        assert not any(
-            name.startswith("serve.exemplar_ms.") for name in summary["gauges"]
-        )
-
-    def test_in_the_report_model(self, tmp_path):
-        _write(
-            tmp_path,
-            "BENCH_aaa",
-            _trajectory(benches={"sweep_serve": self.SWEEP_SERVE}),
-        )
-        data = collect.collect_report(tmp_path, include_telemetry=False)
-        assert data["serve"]["gauges"]["serve.throughput_rps"] == 540.0
-
-
 class TestCollectReport:
     def test_model_shape_without_telemetry(self, tmp_path):
         data = collect.collect_report(tmp_path, include_telemetry=False)

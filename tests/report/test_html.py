@@ -78,53 +78,6 @@ class TestRenderReport:
         html = render_report(_model(tmp_path))
         assert "Stall watchdog reports" not in html
 
-    def test_no_sweep_serve_degrades_to_an_explicit_no_data_row(self, tmp_path):
-        html = render_report(_model(tmp_path))
-        assert "Verification service (serve)" in html
-        assert "no data" in html
-        assert "sweep_serve" in html
-
-    def test_serve_exemplars_render_their_own_table(self, tmp_path):
-        model = _model(tmp_path)
-        model["serve"] = {
-            "git_sha": "abc123",
-            "trajectory": "BENCH_abc123.json",
-            "parameters": {"requests": 240, "concurrency": 12, "cache": "disk"},
-            "gauges": {"serve.p50_ms": 20.5},
-            "exemplars": [
-                {"endpoint": "POST /v1/maxis", "worst_ms": 812.25},
-                {"endpoint": "GET /health", "worst_ms": 3.5},
-            ],
-        }
-        html = render_report(model)
-        assert "Slow-request exemplars" in html
-        assert "POST /v1/maxis" in html
-        assert "<td>812.25</td>" in html
-
-    def test_serve_gauges_render_a_table(self, tmp_path):
-        model = _model(tmp_path)
-        model["serve"] = {
-            "git_sha": "abc123",
-            "trajectory": "BENCH_abc123.json",
-            "parameters": {"requests": 240, "concurrency": 12, "cache": "disk"},
-            "gauges": {
-                "serve.p50_ms": 20.5,
-                "serve.p99_ms": 33.1,
-                "serve.throughput_rps": 540.0,
-                "serve.coalesce_rate": 0.39,
-                "serve.cold_s": 0.45,
-                "serve.warm_s": 0.44,
-                "serve.warm_speedup_x": 1.02,
-            },
-        }
-        html = render_report(model)
-        assert "Verification service (serve)" in html
-        assert "docs/SERVE.md" in html
-        assert "540 req/s" in html
-        assert "39.0%" in html
-        assert "20.50 ms" in html
-        assert "1.02×" in html
-
     def test_stall_reports_render_a_table(self, tmp_path):
         model = _model(tmp_path)
         model["stalls"] = {

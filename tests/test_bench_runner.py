@@ -39,7 +39,7 @@ def _trajectory(medians, iqr=0.001, sha="aaa"):
 
 
 class TestDiscovery:
-    def test_registry_holds_the_nine_benches(self):
+    def test_registry_holds_the_six_benches(self):
         names = [spec.name for spec in runner.discover()]
         assert names == [
             "construction_build",
@@ -48,9 +48,6 @@ class TestDiscovery:
             "kernel_reduction",
             "congest_trace",
             "theorem5_simulation",
-            "sweep_parallel",
-            "sweep_cache",
-            "sweep_serve",
         ]
 
     def test_only_filter_preserves_request_order(self):
@@ -278,42 +275,3 @@ class TestRunSuite:
             "python_version",
         }
         assert "construction_build" in capsys.readouterr().out
-
-    def test_sweep_cache_records_speedup_gauges(self, tmp_path, capsys):
-        _, trajectory = runner.run_suite(
-            warmup=0, repeats=1, only=["sweep_cache"], out_dir=str(tmp_path)
-        )
-        gauges = trajectory["benches"]["sweep_cache"]["gauges"]
-        # The warm half answers every unit from the store, so the
-        # speedup is orders of magnitude; 1.5x is the acceptance floor.
-        assert gauges["cache.speedup_x"] > 1.5
-        assert gauges["cache.cold_s"] > gauges["cache.warm_s"]
-        # The bench uses its own private store: the suite-wide cache
-        # mode stayed off and is not recorded.
-        assert "cache_mode" not in trajectory["config"]
-        capsys.readouterr()
-
-    def test_sweep_serve_records_service_gauges(self, tmp_path, capsys):
-        _, trajectory = runner.run_suite(
-            warmup=0, repeats=1, only=["sweep_serve"], out_dir=str(tmp_path)
-        )
-        gauges = trajectory["benches"]["sweep_serve"]["gauges"]
-        assert gauges["serve.p50_ms"] > 0.0
-        assert gauges["serve.p99_ms"] >= gauges["serve.p50_ms"]
-        assert gauges["serve.throughput_rps"] > 0.0
-        # The plan's duplicates guarantee coalesced or cached answers
-        # on the cold pass, so the rate is a real measurement, not 0.
-        assert 0.0 < gauges["serve.coalesce_rate"] < 1.0
-        assert gauges["serve.cold_s"] > 0.0 and gauges["serve.warm_s"] > 0.0
-        capsys.readouterr()
-
-    def test_cache_mode_recorded_when_enabled(self, tmp_path, capsys):
-        _, trajectory = runner.run_suite(
-            warmup=0,
-            repeats=1,
-            only=["construction_build"],
-            out_dir=str(tmp_path),
-            cache_mode="memory",
-        )
-        assert trajectory["config"]["cache_mode"] == "memory"
-        capsys.readouterr()

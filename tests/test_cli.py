@@ -660,3 +660,55 @@ class TestSweepSizeValidation:
             argv += ["--max-t", "2"]
         args = build_parser().parse_args(argv)
         assert args.samples == 1
+
+
+def _exit_code(argv):
+    """``main``'s exit code, whether returned or raised by argparse."""
+    try:
+        return main(argv)
+    except SystemExit as exit:
+        return exit.code
+
+
+class TestUsageErrors:
+    """Bad option values exit 2 with a message, never a traceback."""
+
+    def test_bench_unknown_name_exits_2_before_any_bench_runs(
+        self, tmp_path, capsys
+    ):
+        argv = ["bench", "--only", "nosuch", "--out", str(tmp_path)]
+        assert _exit_code(argv) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "repro bench: unknown bench(es) ['nosuch']; available:" in captured.err
+        assert "bench " not in captured.out
+        assert not list(tmp_path.glob("BENCH_*.json"))
+
+    @pytest.mark.parametrize(
+        "option, value, minimum", [("--repeats", "0", 1), ("--warmup", "-1", 0)]
+    )
+    def test_bench_timing_counts_below_their_minimum_exit_2(
+        self, option, value, minimum, tmp_path, capsys
+    ):
+        argv = ["bench", "--only", "construction_build", "--out", str(tmp_path)]
+        assert _exit_code(argv + [option, value]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert f"must be at least {minimum}" in captured.err
+        assert not list(tmp_path.glob("BENCH_*.json"))
+
+    def test_serve_queue_limit_zero_exits_2_without_starting(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.serve
+
+        started = []
+        monkeypatch.setattr(
+            repro.serve, "run", lambda *args, **kwargs: started.append(args)
+        )
+        access_log = tmp_path / "access.jsonl"
+        argv = ["serve", "--port", "0", "--queue-limit", "0"]
+        assert _exit_code(argv + ["--access-log", str(access_log)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert started == []
+        assert not access_log.exists()
