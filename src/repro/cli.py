@@ -75,18 +75,13 @@ from .analysis import (
     render_key_values,
     render_table,
 )
-from .commcc import pairwise_disjoint_inputs, uniquely_intersecting_inputs
-from .congest import FullGraphCollection
 from .core.serialize import claim_checks_to_json, report_to_json
-from .framework import simulate_congest_via_players
 from .gadgets import (
     GadgetParameters,
     LinearConstruction,
-    LinearMaxISFamily,
     QuadraticConstruction,
 )
 from .graphs import render_figure
-from .maxis import max_independent_set_weight
 
 
 def _add_parameter_args(parser: argparse.ArgumentParser, default_t: int = 2) -> None:
@@ -395,6 +390,14 @@ def cmd_claims(args: argparse.Namespace) -> int:
     from .parallel import claims_checks
 
     params = _params(args)
+    if params.t > params.k:
+        # Claim 4 picks t distinct indices out of k.
+        print(
+            f"repro claims: --t {params.t} needs at least {params.t} indices, "
+            f"but k = {params.k}; lower --t or raise --k, --ell or --alpha",
+            file=sys.stderr,
+        )
+        return 2
     with _cached(args), _live(args):
         checks = claims_checks(
             params,
@@ -513,31 +516,11 @@ def cmd_theorem2(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _run_theorem5_pair(seed: int):
-    """Run the Theorem 5 simulation on both promise sides.
+def _theorem5_sides(seed: int):
+    """``(side, report)`` per promise side, labelled for the commands."""
+    from .core.suite import theorem5_pair
 
-    Yields ``(side, report)`` for the intersecting and disjoint inputs
-    at the paper's figure parameters — the shared body of ``simulate``
-    and ``telemetry``.
-    """
-    params = GadgetParameters(ell=2, alpha=1, t=2)
-    family = LinearMaxISFamily(params, warmup=True)
-    low = family.gap.low_threshold
-    rng = random.Random(seed)
-    for intersecting in (True, False):
-        gen = (
-            uniquely_intersecting_inputs
-            if intersecting
-            else pairwise_disjoint_inputs
-        )
-        inputs = gen(params.k, params.t, rng=rng)
-        report = simulate_congest_via_players(
-            family,
-            inputs,
-            FullGraphCollection.factory(
-                lambda graph: max_independent_set_weight(graph) <= low
-            ),
-        )
+    for intersecting, report in theorem5_pair(seed):
         yield ("intersecting" if intersecting else "disjoint"), report
 
 
@@ -564,7 +547,7 @@ def _cut_traffic_lines(report) -> List[str]:
 def cmd_simulate(args: argparse.Namespace) -> int:
     exit_code = 0
     with _profiled(args) as recorder:
-        for side, report in _run_theorem5_pair(args.seed):
+        for side, report in _theorem5_sides(args.seed):
             print(
                 f"{side:>12}: rounds={report.rounds} cut={report.cut_edges} "
                 f"bits={report.blackboard_bits} <= {report.analytic_bit_bound} "
@@ -634,7 +617,7 @@ def telemetry_data(seed: int = 0) -> dict:
     sides = []
     consistent = True
     with obs.recording() as recorder:
-        for side, report in _run_theorem5_pair(seed):
+        for side, report in _theorem5_sides(seed):
             consistent = consistent and report.is_consistent
             sides.append(
                 {

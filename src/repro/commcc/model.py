@@ -19,14 +19,26 @@ InputT = TypeVar("InputT")
 
 
 class BlackboardEntry:
-    """One write: which player wrote which bits, and an optional label."""
+    """One write: which player wrote how many bits, and an optional label.
 
-    __slots__ = ("player", "bits", "label")
+    A write by size alone (:meth:`Blackboard.write_size`) keeps no
+    content; its ``bits`` read as that many zeros, built on access.
+    """
 
-    def __init__(self, player: int, bits: str, label: str = "") -> None:
+    __slots__ = ("player", "size", "label", "_bits")
+
+    def __init__(
+        self, player: int, size: int, label: str = "", bits: Optional[str] = None
+    ) -> None:
         self.player = player
-        self.bits = bits
+        self.size = size
         self.label = label
+        self._bits = bits
+
+    @property
+    def bits(self) -> str:
+        """The written bit string (zeros for a write by size)."""
+        return "0" * self.size if self._bits is None else self._bits
 
     def __repr__(self) -> str:
         suffix = f", label={self.label!r}" if self.label else ""
@@ -44,8 +56,21 @@ class Blackboard:
         """Append ``bits`` (a string over '0'/'1') on behalf of ``player``."""
         if bits and set(bits) - {"0", "1"}:
             raise ValueError(f"blackboard writes must be bit strings, got {bits!r}")
-        self._entries.append(BlackboardEntry(player, bits, label))
-        self._total_bits += len(bits)
+        self._append(BlackboardEntry(player, len(bits), label, bits))
+
+    def write_size(self, player: int, size: int, label: str = "") -> None:
+        """Append a write of ``size`` bits whose content does not matter.
+
+        Cost accounting needs only the length; the entry reads back as
+        ``size`` zeros.
+        """
+        if size < 0:
+            raise ValueError(f"a write cannot have negative size, got {size}")
+        self._append(BlackboardEntry(player, size, label))
+
+    def _append(self, entry: BlackboardEntry) -> None:
+        self._entries.append(entry)
+        self._total_bits += entry.size
 
     def entries(self) -> List[BlackboardEntry]:
         """Return the entries written so far (a copy)."""

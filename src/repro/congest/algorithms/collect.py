@@ -6,6 +6,11 @@ edges, each an ``O(log n)``-bit token, one token per edge per round) and
 then computes the answer locally.  The paper's near-quadratic lower
 bound (Theorem 2) is "nearly tight" against exactly this algorithm.
 
+Each node keeps one queue: every fact once, in the order it learned
+it, tagged with the neighbor it came from.  Each neighbor has a read
+position in that queue and is sent the facts it did not itself supply,
+one per round, so learning a fact costs O(1) whatever the degree.
+
 Termination: nodes keep forwarding facts they have not yet relayed to a
 given neighbor.  The simulator's quiescence detection (no messages in
 flight) triggers :meth:`finalize`, where each node evaluates a local
@@ -16,8 +21,7 @@ round counts reported here exclude that additive term.
 
 from __future__ import annotations
 
-from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
-from collections import deque
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ...graphs import WeightedGraph
 from ..message import Message, NodeId
@@ -45,8 +49,13 @@ class FullGraphCollection(NodeAlgorithm):
         # Outputs by fact set, shared by the nodes of one factory().
         self._memo: Optional[Dict[FrozenSet[Fact], object]] = None
         self._facts: Set[Fact] = set()
-        # One queue per neighbor, aligned with ctx.neighbors.
-        self._pending: List[Deque[Fact]] = []
+        # Every fact once, in learning order, with the index (in
+        # ctx.neighbors) of the neighbor it came from; -1 for own facts.
+        self._queue: List[Fact] = []
+        self._origin: List[int] = []
+        # Per neighbor (aligned with ctx.neighbors): next queue position.
+        self._cursor: List[int] = []
+        self._index: Dict[NodeId, int] = {}
 
     @classmethod
     def factory(
@@ -75,21 +84,21 @@ class FullGraphCollection(NodeAlgorithm):
         for neighbor in ctx.neighbors:
             edge = self._edge_fact(ctx.node_id, neighbor)
             self._facts.add(edge)
-        known = sorted(self._facts, key=repr)
-        self._pending = [deque(known) for _ in ctx.neighbors]
+        self._queue = sorted(self._facts, key=repr)
+        self._origin = [-1] * len(self._queue)
+        self._cursor = [0] * len(ctx.neighbors)
+        self._index = {neighbor: i for i, neighbor in enumerate(ctx.neighbors)}
         self._flush(ctx)
 
     def on_round(self, ctx: NodeContext, inbox: Sequence[Message]) -> None:
         facts = self._facts
+        index = self._index
         for message in inbox:
             fact = tuple(message.payload)
-            known = len(facts)
-            facts.add(fact)
-            if len(facts) > known:
-                sender = message.sender
-                for neighbor, queue in zip(ctx.neighbors, self._pending):
-                    if neighbor != sender:
-                        queue.append(fact)
+            if fact not in facts:
+                facts.add(fact)
+                self._queue.append(fact)
+                self._origin.append(index[message.sender])
         self._flush(ctx)
 
     def _flush(self, ctx: NodeContext) -> None:
@@ -97,9 +106,19 @@ class FullGraphCollection(NodeAlgorithm):
         # A fact is two ids (or an id and a weight) plus a tag:
         # O(log n) bits.  Charged as such.
         bits = self._fact_bits(ctx)
-        for neighbor, queue in zip(ctx.neighbors, self._pending):
-            if queue:
-                ctx.send(neighbor, queue.popleft(), size_bits=bits)
+        queue = self._queue
+        origin = self._origin
+        cursor = self._cursor
+        end = len(queue)
+        for i, neighbor in enumerate(ctx.neighbors):
+            position = cursor[i]
+            # Skip the facts this neighbor sent us.
+            while position < end and origin[position] == i:
+                position += 1
+            if position < end:
+                ctx.send(neighbor, queue[position], size_bits=bits)
+                position += 1
+            cursor[i] = position
         # Never halt voluntarily; quiescence + finalize ends the run.
 
     def finalize(self, ctx: NodeContext) -> None:

@@ -169,6 +169,9 @@ class NodeAlgorithm:
 
 AlgorithmFactory = Callable[[], NodeAlgorithm]
 
+#: Called as ``on_delivery(round_number, delivered_messages)`` per round.
+DeliveryCallback = Callable[[int, Sequence[Message]], None]
+
 
 class RoundStats:
     """Per-round accounting."""
@@ -296,8 +299,13 @@ class CongestNetwork:
         """Nodes taken down by failure injection."""
         return set(self._crashed)
 
-    def run_round(self) -> RoundStats:
-        """Execute one synchronous round; return its stats."""
+    def run_round(self, on_delivery: Optional[DeliveryCallback] = None) -> RoundStats:
+        """Execute one synchronous round; return its stats.
+
+        ``on_delivery``, when given, is called once with the round
+        number and the messages delivered in it (crashed receivers'
+        messages excluded) before any node acts on them.
+        """
         if not self._initialized:
             self._initialize()
         for node in self._crash_schedule.pop(self.rounds_executed + 1, []):
@@ -310,15 +318,17 @@ class CongestNetwork:
         round_number = self.rounds_executed
         inboxes: Dict[NodeId, List[Message]] = {node: [] for node in self.contexts}
         crashed = self._crashed
-        log = self.message_log if self.message_log_enabled else None
+        delivered = in_flight
+        if crashed:  # messages to crashed nodes are dropped on the floor
+            delivered = [m for m in in_flight if m.receiver not in crashed]
         round_bits = 0
-        for message in in_flight:
-            if crashed and message.receiver in crashed:
-                continue  # dropped on the floor
+        for message in delivered:
             inboxes[message.receiver].append(message)
             round_bits += message.size_bits
-            if log is not None:
-                log.append((round_number, message))
+        if self.message_log_enabled:
+            self.message_log.extend((round_number, m) for m in delivered)
+        if on_delivery is not None:
+            on_delivery(round_number, delivered)
         self.total_messages += len(in_flight)
         self.total_bits += round_bits
         for node, algorithm in self.algorithms.items():
@@ -342,13 +352,12 @@ class CongestNetwork:
                 _obs.observe(
                     "congest.edge_utilization", used / self.bandwidth_bits
                 )
-            for message in in_flight:
-                if message.receiver not in crashed:
-                    _obs.incr_keyed(
-                        "congest.edge_bits",
-                        f"{message.sender!r}->{message.receiver!r}",
-                        message.size_bits,
-                    )
+            for message in delivered:
+                _obs.incr_keyed(
+                    "congest.edge_bits",
+                    f"{message.sender!r}->{message.receiver!r}",
+                    message.size_bits,
+                )
         return stats
 
     def run(self, max_rounds: int = 100_000) -> int:
@@ -365,21 +374,27 @@ class CongestNetwork:
             )
         return self.rounds_executed
 
-    def run_until_quiescent(self, max_rounds: int = 100_000) -> int:
+    def run_until_quiescent(
+        self,
+        max_rounds: int = 100_000,
+        on_delivery: Optional[DeliveryCallback] = None,
+    ) -> int:
         """Run until no messages are in flight, then finalize all nodes.
 
         Quiescence (an empty network after a round) implies no node will
         ever learn anything new, so flooding-style algorithms are done.
         Real deployments detect this with an ``O(diameter)`` convergecast;
         the simulator detects it globally and does not charge those
-        rounds.  Returns the number of rounds executed.
+        rounds.  ``on_delivery`` is passed to every :meth:`run_round`;
+        the network keeps no reference to it.  Returns the number of
+        rounds executed.
         """
         if not self._initialized:
             self._initialize()
         while self.rounds_executed < max_rounds:
             if self.all_halted():
                 break
-            self.run_round()
+            self.run_round(on_delivery)
             if not self._outgoing:
                 break
         else:

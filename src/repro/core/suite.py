@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..analysis import (
     linear_gap_ratio_asymptotic,
@@ -21,7 +21,7 @@ from ..analysis import (
 )
 from ..commcc import pairwise_disjoint_inputs, uniquely_intersecting_inputs
 from ..congest import FullGraphCollection
-from ..framework import simulate_congest_via_players
+from ..framework import SimulationReport, simulate_congest_via_players
 from ..gadgets import (
     GadgetParameters,
     LinearMaxISFamily,
@@ -143,19 +143,19 @@ class SuiteResult:
         return "\n".join(parts)
 
 
-def simulation_check_rows(seed: int = 0) -> List[List]:
+def theorem5_pair(seed: int = 0) -> Iterator[Tuple[bool, SimulationReport]]:
     """Run the Theorem 5 warm-up simulation on both promise sides.
 
-    Returns one summary row per side (side, rounds, cut, bits, ceiling,
-    consistent) — the "Theorem 5 simulation" table of the suite report.
-    Shared by the suite, the ``simulate`` CLI command's profile phase,
-    and the profiled theorem sweeps.
+    Yields ``(intersecting, report)`` for seeded intersecting inputs,
+    then disjoint ones (drawn from one rng in that order), at the
+    paper's figure parameters, decided by full graph collection.  The
+    one builder behind :func:`simulation_check_rows` and the
+    ``simulate`` and ``telemetry`` commands.
     """
     params = GadgetParameters(ell=2, alpha=1, t=2)
     family = LinearMaxISFamily(params, warmup=True)
     low = family.gap.low_threshold
     rng = random.Random(seed)
-    rows: List[List] = []
     for intersecting in (True, False):
         gen = (
             uniquely_intersecting_inputs
@@ -170,17 +170,28 @@ def simulation_check_rows(seed: int = 0) -> List[List]:
                 lambda graph: max_independent_set_weight(graph) <= low
             ),
         )
-        rows.append(
-            [
-                "inter" if intersecting else "disj",
-                report.rounds,
-                report.cut_edges,
-                report.blackboard_bits,
-                report.analytic_bit_bound,
-                report.is_consistent,
-            ]
-        )
-    return rows
+        yield intersecting, report
+
+
+def simulation_check_rows(seed: int = 0) -> List[List]:
+    """One summary row per side of :func:`theorem5_pair`.
+
+    Rows are (side, rounds, cut, bits, ceiling, consistent) — the
+    "Theorem 5 simulation" table of the suite report.  Shared by the
+    suite, the ``simulate`` CLI command's profile phase, and the
+    profiled theorem sweeps.
+    """
+    return [
+        [
+            "inter" if intersecting else "disj",
+            report.rounds,
+            report.cut_edges,
+            report.blackboard_bits,
+            report.analytic_bit_bound,
+            report.is_consistent,
+        ]
+        for intersecting, report in theorem5_pair(seed)
+    ]
 
 
 def run_reproduction_suite(

@@ -8,11 +8,13 @@ messages crossing the partition are written on the shared blackboard.
 This module runs a *real* CONGEST execution over ``G_x``, routes every
 cut-crossing message through a real :class:`~repro.commcc.Blackboard`,
 and reports both the measured transcript length and the analytic bound
-``O(T * |cut| * log |V|)`` it must respect.  One pass over the
-network's message log (the ``theorem5.blackboard_replay`` span) writes
-the blackboard and builds the per-round cut series together;
+``O(T * |cut| * log |V|)`` it must respect.  The cut is counted round
+by round as the run goes, inside the ``theorem5.congest_run`` span: the
+network hands each round's delivered messages to a callback, which
+writes the cut-crossing ones on the blackboard and adds up that round's
+cut bits.  No message log is kept.
 :func:`~repro.framework.cut.per_round_cut_traffic` stays the separate
-fold that recounts the same series from a log.
+fold that recounts the same series from a network's message log.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence
 
 from ..commcc import BitString, Blackboard
-from ..congest import CongestNetwork, NodeAlgorithm
+from ..congest import CongestNetwork, Message, NodeAlgorithm
 from ..obs import get_recorder
 from .cut import cut_size, node_membership
 from .family import LowerBoundFamily
@@ -112,10 +114,10 @@ def simulate_congest_via_players(
 ) -> SimulationReport:
     """Run the Theorem 5 simulation end-to-end.
 
-    Builds ``G_x``, runs the CONGEST algorithm to quiescence, writes a
-    ``'0' * size`` placeholder of the exact measured size on the
-    blackboard for every cut-crossing message (content is irrelevant to
-    cost accounting), and reads the decision off the node outputs.
+    Builds ``G_x``, runs the CONGEST algorithm to quiescence, writes
+    every cut-crossing message on the blackboard by its measured size
+    as it is delivered (content is irrelevant to cost accounting), and
+    reads the decision off the node outputs.
 
     The algorithm's per-node output must be the Boolean predicate value
     (all nodes must agree); anything else raises ``ValueError``.
@@ -134,29 +136,33 @@ def simulate_congest_via_players(
             bandwidth_multiplier=bandwidth_multiplier,
             seed=seed,
         )
-        network.message_log_enabled = True
-        with _obs.span("theorem5.congest_run"):
-            rounds = network.run_until_quiescent(max_rounds=max_rounds)
-
+        # Dense over rounds 1..T: one entry per delivered round.
+        cut_round_bits: List[int] = []
         cut_messages = 0
-        # Dense over rounds 1..T: the log holds no round past T.
-        cut_round_bits = [0] * rounds
-        with _obs.span("theorem5.blackboard_replay"):
-            for round_number, message in network.message_log:
+
+        def count_cut(round_number: int, delivered: Sequence[Message]) -> None:
+            nonlocal cut_messages
+            bits = 0
+            for message in delivered:
                 sender_part = membership[message.sender]
                 receiver_part = membership[message.receiver]
                 if sender_part != receiver_part:
                     cut_messages += 1
-                    cut_round_bits[round_number - 1] += message.size_bits
-                    board.write(
+                    bits += message.size_bits
+                    board.write_size(
                         sender_part,
-                        "0" * message.size_bits,
+                        message.size_bits,
                         label=f"r{round_number}:{sender_part}->{receiver_part}",
                     )
-            # Node contexts point back at their network, so only the
-            # cyclic garbage collector frees it.  Free its tens of
-            # thousands of logged messages now instead.
-            network.message_log.clear()
+            cut_round_bits.append(bits)
+
+        # Passed per call, never stored on the network: node contexts
+        # point back at it, so whatever it references (the board, via
+        # this closure) would live until the cyclic collector runs.
+        with _obs.span("theorem5.congest_run"):
+            rounds = network.run_until_quiescent(
+                max_rounds=max_rounds, on_delivery=count_cut
+            )
         if _obs.enabled:
             _obs.incr("theorem5.simulations")
             _obs.incr("theorem5.rounds", rounds)

@@ -81,8 +81,9 @@ def greedy_clique_cover(graph: WeightedGraph) -> List[Set[Node]]:
 
     Visits nodes in descending-degree order and places each into the
     first existing clique it is fully adjacent to.  The cover's size is
-    an upper bound on ``alpha(G)`` — exactly the pruning bound used by
-    :func:`repro.maxis.max_weight_independent_set`, exposed standalone.
+    an upper bound on ``alpha(G)``.  This is not the exact solver's
+    pruning bound: :func:`repro.maxis.max_weight_independent_set`
+    builds its own cover over its search order.
     """
     cliques: List[Set[Node]] = []
     for node in sorted(graph.nodes(), key=lambda v: (-graph.degree(v), repr(v))):

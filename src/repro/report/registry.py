@@ -104,7 +104,7 @@ STATEMENTS: Tuple[PaperStatement, ...] = (
         "Theorem 1",
         "theorem",
         "§4",
-        "Ω(n / log³ n) rounds for (5/6 + ε)-approximate MaxIS",
+        "Ω(n / log³ n) rounds for (1/2 + ε)-approximate MaxIS",
         (
             _api("repro.framework.theorem1_asymptotic_rounds"),
             _bench("theorem1_linear_gap"),
@@ -240,7 +240,7 @@ STATEMENTS: Tuple[PaperStatement, ...] = (
         "Lemma 1",
         "lemma",
         "§4.2",
-        "The t = 2 gadget separates thresholds with ratio → 5/6",
+        "The t = 2 gadget separates thresholds with ratio → 3/4",
         (
             _api("repro.gadgets.LinearMaxISFamily", manifest="lemma1_two_party_gap"),
             _bench("lemma1_two_party_gap"),

@@ -51,6 +51,41 @@ class TestBlackboard:
         assert len(board) == 1
 
 
+class TestWriteBySize:
+    """A write by size reads back exactly as a write of that many zeros."""
+
+    WRITES = [(0, 5, "r1:0->1"), (1, 0, ""), (1, 3, "r2:1->0"), (0, 1, "")]
+
+    def test_matches_a_write_of_zeros(self):
+        sized, zeros = Blackboard(), Blackboard()
+        for player, size, label in self.WRITES:
+            sized.write_size(player, size, label=label)
+            zeros.write(player, "0" * size, label=label)
+
+        def view(board):
+            return [
+                (entry.player, entry.bits, entry.size, entry.label, repr(entry))
+                for entry in board.entries()
+            ]
+
+        assert view(sized) == view(zeros)
+        assert sized.total_bits == zeros.total_bits == 9
+        assert sized.transcript() == zeros.transcript() == "0" * 9
+        assert len(sized) == len(zeros) == 4
+
+    def test_interleaves_with_content_writes(self):
+        board = Blackboard()
+        board.write(0, "101")
+        board.write_size(1, 2)
+        board.write(0, "1")
+        assert board.transcript() == "101001"
+        assert board.total_bits == 6
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError):
+            Blackboard().write_size(0, -1)
+
+
 class _EchoProtocol(Protocol):
     """Each player writes its (string) input; output = parity of total bits."""
 

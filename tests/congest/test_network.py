@@ -5,6 +5,7 @@ import pytest
 from repro.congest import (
     BandwidthExceededError,
     CongestNetwork,
+    FullGraphCollection,
     NodeAlgorithm,
     integer_bits,
     payload_size_bits,
@@ -298,3 +299,62 @@ class TestPayloadSizing:
         assert payload_size_bits("ab", 8) == 16
         assert payload_size_bits((1, 1), 8) == 6  # 2 * (2 + 1)
         assert payload_size_bits(object(), 8) == 8
+
+
+class TestDeliveryCallback:
+    """``on_delivery`` sees each round's delivered messages as they arrive."""
+
+    def test_sees_exactly_the_message_log(self):
+        network = CongestNetwork(
+            path_graph(["a", "b", "c", "d"]), FullGraphCollection, bandwidth_multiplier=3
+        )
+        network.message_log_enabled = True
+        seen = []
+        network.run_until_quiescent(
+            on_delivery=lambda r, delivered: seen.extend((r, m) for m in delivered)
+        )
+        assert seen and seen == network.message_log
+
+    def test_called_once_per_round_in_order(self):
+        rounds = []
+        network = CongestNetwork(
+            path_graph(["a", "b", "c", "d"]), FullGraphCollection, bandwidth_multiplier=3
+        )
+        executed = network.run_until_quiescent(
+            on_delivery=lambda r, delivered: rounds.append(r)
+        )
+        assert executed > 1
+        assert rounds == list(range(1, executed + 1))
+
+    def test_skips_messages_to_crashed_receivers(self):
+        network = CongestNetwork(
+            path_graph(["a", "b", "c"]), FullGraphCollection, bandwidth_multiplier=3
+        )
+        network.crash("c", at_round=2)
+        receivers = set()
+        network.run_until_quiescent(
+            on_delivery=lambda r, delivered: receivers.update(
+                (r, m.receiver) for m in delivered
+            )
+        )
+        assert (1, "c") in receivers
+        assert not {(r, node) for r, node in receivers if r >= 2 and node == "c"}
+
+    def test_network_keeps_no_reference_to_the_callback(self):
+        import gc
+        import weakref
+
+        class Counter:
+            def __call__(self, round_number, delivered):
+                pass
+
+        counter = Counter()
+        ref = weakref.ref(counter)
+        network = CongestNetwork(path_graph(["a", "b"]), _Silent)
+        gc.disable()
+        try:
+            network.run_until_quiescent(on_delivery=counter)
+            del counter
+            assert ref() is None
+        finally:
+            gc.enable()

@@ -1,7 +1,11 @@
 """Tests for the paper-statement registry behind the coverage matrix."""
 
+import re
+from fractions import Fraction
+
 import pytest
 
+from repro.gadgets import GadgetParameters
 from repro.report import registry
 
 
@@ -82,3 +86,49 @@ class TestCheckRef:
             for check in statement.checks:
                 if check.kind == "bench":
                     assert check.manifest == check.ref
+
+
+class TestRatioSummaries:
+    """Every ratio a summary states is the limit of ``gadgets/parameters.py``.
+
+    The threshold ratios tend to their limits as ``ell`` grows past
+    ``alpha * t`` and, for the theorems, as ``t`` grows; at the sizes
+    below they are within 1e-3 of it.
+    """
+
+    RATIO = re.compile(r"(?:\(|→ )(\d+)/(\d+)")
+
+    LIMITS = {
+        "Theorem 1": (
+            GadgetParameters(ell=10**12, alpha=1, t=10**4),
+            GadgetParameters.linear_gap_ratio,
+        ),
+        "Theorem 2": (
+            GadgetParameters(ell=10**16, alpha=1, t=10**4),
+            GadgetParameters.quadratic_gap_ratio,
+        ),
+        "Lemma 1": (
+            GadgetParameters(ell=10**12, alpha=1, t=2),
+            lambda p: p.two_party_low_threshold() / p.linear_high_threshold(),
+        ),
+    }
+
+    def _stated(self, statement):
+        return [
+            Fraction(int(num), int(den))
+            for num, den in self.RATIO.findall(statement.title)
+        ]
+
+    def test_exactly_these_summaries_state_a_ratio(self):
+        stating = {
+            statement.statement_id
+            for statement in registry.all_statements()
+            if self._stated(statement)
+        }
+        assert stating == set(self.LIMITS)
+
+    @pytest.mark.parametrize("statement_id", sorted(LIMITS))
+    def test_stated_ratio_is_the_formulas_limit(self, statement_id):
+        (stated,) = self._stated(registry.get_statement(statement_id))
+        params, ratio = self.LIMITS[statement_id]
+        assert ratio(params) == pytest.approx(float(stated), abs=1e-3)

@@ -697,6 +697,14 @@ class TestUsageErrors:
         assert f"must be at least {minimum}" in captured.err
         assert not list(tmp_path.glob("BENCH_*.json"))
 
+    def test_claims_with_more_players_than_indices_exits_2(self, capsys):
+        # --ell 2 --alpha 1 gives k = 3 indices; Claim 4 needs t of them.
+        assert _exit_code(["claims", "--ell", "2", "--t", "4"]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "repro claims: --t 4 needs at least 4 indices, but k = 3" in captured.err
+        assert captured.out == ""
+
     def test_serve_queue_limit_zero_exits_2_without_starting(
         self, tmp_path, capsys, monkeypatch
     ):
