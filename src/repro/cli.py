@@ -24,11 +24,10 @@ out to N worker processes via :mod:`repro.parallel`; output is
 guaranteed identical to the serial run.
 
 Caching (see ``docs/CACHING.md``): the sweep commands accept
-``--cache=off|memory|disk`` (plus ``--cache-dir``) to memoize gadget
-graphs, code tables, MaxIS optima, and whole sweep units in the
-content-addressed result store (:mod:`repro.store`); warm runs produce
-byte-identical output.  ``repro cache stats|clear|warm`` manages the
-on-disk store.
+``--cache=off|memory|disk`` (plus ``--cache-dir``) to memoize whole
+sweep units (and greedy code tables) in the content-addressed result
+store (:mod:`repro.store`); warm runs produce byte-identical output.
+``repro cache stats|clear|warm`` manages the on-disk store.
 
 Observability (see ``docs/OBSERVABILITY.md``): ``report``,
 ``theorem1``, ``theorem2``, and ``simulate`` accept ``--profile`` to
@@ -117,8 +116,8 @@ def _add_cache_args(parser: argparse.ArgumentParser) -> None:
         choices=("off", "memory", "disk"),
         default="off",
         help=(
-            "memoize gadget graphs, code tables, MaxIS optima, and sweep "
-            "units in the content-addressed result store (docs/CACHING.md)"
+            "memoize whole sweep units (and greedy code tables) in the "
+            "content-addressed result store (docs/CACHING.md)"
         ),
     )
     parser.add_argument(
@@ -562,16 +561,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cache_data(recorder) -> Optional[dict]:
-    """The cache.* metrics as a plain dict, or ``None`` when idle.
+    """The cache.* metrics as a plain dict, or ``None`` while caching is off.
 
-    Returns ``None`` when no store activity was recorded (cache off),
-    so callers can skip the section entirely.
+    Callers skip the section when caching is off.  With a store
+    configured the section is always there, zeros included: the
+    simulation caches no whole unit, so it shows that nothing was read
+    or written.
     """
+    from . import store
+
+    if store.get_store() is None:
+        return None
     hits = int(recorder.counters.get("cache.hit", 0))
     misses = int(recorder.counters.get("cache.miss", 0))
     bytes_written = int(recorder.counters.get("cache.bytes_written", 0))
-    if not (hits or misses or bytes_written):
-        return None
     total = hits + misses
     data = {
         "hits": hits,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .gf import is_prime_power
 from .reed_solomon import ReedSolomonCode, hamming_distance
@@ -295,18 +295,6 @@ def verify_code_mapping(mapping: CodeMapping) -> int:
     return true_distance
 
 
-def _build_code_mapping(ell: int, alpha: int) -> CodeMapping:
-    q = ell + alpha
-    if is_prime_power(q):
-        return RSCodeMapping(ell, alpha)
-    return GreedyCodeMapping(
-        alphabet_size=q,
-        block_length=q,
-        min_distance=ell,
-        target_count=q ** alpha,
-    )
-
-
 def code_mapping_for_parameters(ell: int, alpha: int) -> CodeMapping:
     """Return a code-mapping for gadget parameters ``(ell, alpha)``.
 
@@ -315,20 +303,33 @@ def code_mapping_for_parameters(ell: int, alpha: int) -> CodeMapping:
     greedy search for ``(ell + alpha) ** alpha`` codewords at distance
     ``ell``, which the paper's Theorem 4 guarantees to exist.
 
-    When the result store is configured (``repro.store``), built tables
+    When the result store is configured (``repro.store``), greedy tables
     are memoized under ``codes.code_mapping`` and warm calls return a
-    :class:`StoredCodeMapping` with identical codewords and distance —
-    the greedy search is the main beneficiary.
+    :class:`StoredCodeMapping` with identical codewords and distance.
+    A Reed–Solomon table is built in well under a millisecond, less
+    than a store write costs, so it is never stored.
     """
     from ..store import CODE_MODULES, get_store
 
+    q = ell + alpha
+    if is_prime_power(q):
+        return RSCodeMapping(ell, alpha)
+
+    def search() -> CodeMapping:
+        return GreedyCodeMapping(
+            alphabet_size=q,
+            block_length=q,
+            min_distance=ell,
+            target_count=q ** alpha,
+        )
+
     store = get_store()
     if store is None:
-        return _build_code_mapping(ell, alpha)
+        return search()
     return store.get_or_compute(
         "codes.code_mapping",
         {"ell": ell, "alpha": alpha},
         CODE_MODULES,
         "code_mapping",
-        lambda: _build_code_mapping(ell, alpha),
+        search,
     )

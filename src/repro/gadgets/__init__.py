@@ -1,12 +1,6 @@
 """The paper's lower-bound constructions (Sections 4 and 5, Remark 1)."""
 
-from .base_graph import (
-    BaseGraphLayout,
-    add_base_graph,
-    build_base_graph,
-    build_layout,
-    fixed_graph_key_params,
-)
+from .base_graph import BaseGraphLayout, add_base_graph, build_base_graph
 from .claim7_analysis import (
     Claim7Breakdown,
     analyze_claim7_case2,
@@ -68,7 +62,6 @@ __all__ = [
     "analyze_claim7_case2",
     "build_case2_independent_set",
     "build_base_graph",
-    "build_layout",
     "case2_applies",
     "check_property1",
     "check_property2",
@@ -77,7 +70,6 @@ __all__ = [
     "corollary2_bound",
     "feasible_parameter_sweep",
     "figure_parameters",
-    "fixed_graph_key_params",
     "heaviest_claim6_set",
     "heaviest_property1_set",
     "is_clique_node",

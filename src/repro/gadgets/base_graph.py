@@ -13,7 +13,7 @@ and ``H^(i, b)`` of the quadratic one.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..codes import CodeMapping
 from ..graphs import Node, WeightedGraph
@@ -81,27 +81,6 @@ class BaseGraphLayout:
         return groups
 
 
-def build_layout(
-    params: GadgetParameters,
-    code: CodeMapping,
-    a_namer: ANodeNamer,
-    c_namer: CNodeNamer,
-    enforce_code_distance: bool = True,
-) -> BaseGraphLayout:
-    """Name one copy of ``H``'s nodes without touching any graph.
-
-    The layout is pure bookkeeping over namer callbacks, so it is cheap
-    to rebuild — which is how cached constructions recover their node
-    groups after fetching the (expensive) edge structure from the
-    result store.
-    """
-    _check_code(params, code, enforce_code_distance)
-    q = params.q
-    a_nodes = [a_namer(m) for m in range(params.k)]
-    code_cliques = [[c_namer(h, r) for r in range(q)] for h in range(q)]
-    return BaseGraphLayout(params, code, a_nodes, code_cliques)
-
-
 def add_base_graph(
     graph: WeightedGraph,
     params: GadgetParameters,
@@ -118,12 +97,11 @@ def add_base_graph(
     distance-vs-``ell`` check, for ablation studies that deliberately
     use a weak code.
     """
-    layout = build_layout(
-        params, code, a_namer, c_namer, enforce_code_distance=enforce_code_distance
-    )
+    _check_code(params, code, enforce_code_distance)
     q = params.q
-    a_nodes = layout.a_nodes
-    code_cliques = layout.code_cliques
+    a_nodes = [a_namer(m) for m in range(params.k)]
+    code_cliques = [[c_namer(h, r) for r in range(q)] for h in range(q)]
+    layout = BaseGraphLayout(params, code, a_nodes, code_cliques)
 
     for node in layout.all_nodes():
         graph.add_node(node, weight=1)
@@ -151,38 +129,14 @@ def add_base_graph(
     return layout
 
 
-def fixed_graph_key_params(
-    params: GadgetParameters, code: CodeMapping, **flags: object
-) -> Dict[str, object]:
-    """Cache-key parameters of a fixed gadget graph.
-
-    The codeword table and certified distance are folded in explicitly,
-    so a construction handed a custom code caches under a different
-    address than one using the factory default — the graph depends on
-    which codewords the code spells, not on how they were found.
-    """
-    payload: Dict[str, object] = {
-        "ell": params.ell,
-        "alpha": params.alpha,
-        "t": params.t,
-        "k": params.k,
-        "code_distance": code.guaranteed_distance,
-        "codewords": [list(word) for word in code.codewords()],
-    }
-    payload.update(flags)
-    return payload
-
-
 def build_base_graph(
     params: GadgetParameters, code: CodeMapping
 ) -> Tuple[WeightedGraph, BaseGraphLayout]:
     """Build a standalone ``H`` (Figure 1) with plain node names.
 
     ``A`` nodes are ``("A", 0, m)`` and code nodes ``("C", 0, h, r)`` —
-    i.e. the player-0 copy of the linear construction.  Memoized under
-    ``gadgets.base_graph`` when the result store is configured.
+    i.e. the player-0 copy of the linear construction.
     """
-    from ..store import GADGET_MODULES, MISS, get_store
 
     def a_namer(m: int) -> Node:
         return ("A", 0, m)
@@ -190,19 +144,8 @@ def build_base_graph(
     def c_namer(h: int, r: int) -> Node:
         return ("C", 0, h, r)
 
-    store = get_store()
-    key = None
-    if store is not None:
-        key = store.key_for(
-            "gadgets.base_graph", fixed_graph_key_params(params, code), GADGET_MODULES
-        )
-        cached = store.get(key)
-        if cached is not MISS:
-            return cached, build_layout(params, code, a_namer, c_namer)
     graph = WeightedGraph()
     layout = add_base_graph(graph, params, code, a_namer=a_namer, c_namer=c_namer)
-    if store is not None:
-        store.put(key, "gadgets.base_graph", "graph", graph)
     return graph, layout
 
 

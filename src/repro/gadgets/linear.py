@@ -21,12 +21,7 @@ from ..commcc import BitString, promise_pairwise_disjointness
 from ..framework.family import LowerBoundFamily
 from ..framework.gap import GapPredicate
 from ..graphs import Node, WeightedGraph
-from .base_graph import (
-    BaseGraphLayout,
-    add_base_graph,
-    build_layout,
-    fixed_graph_key_params,
-)
+from .base_graph import BaseGraphLayout, add_base_graph
 from .node_ids import linear_clique_node, linear_code_node
 from .parameters import GadgetParameters
 
@@ -56,66 +51,22 @@ class LinearConstruction:
         * ``remove_matching=False`` wires full bicliques between
           ``C_h^i`` and ``C_h^j`` (breaks Property 1 — the intersecting
           witness stops being independent).
-
-        The fixed graph is memoized under ``gadgets.linear_graph`` when
-        the result store is configured; layouts are rebuilt from the
-        namers on a hit (cheap — no edges involved).
         """
-        from ..store import GADGET_MODULES, MISS, get_store
-
         self.params = params
         self.code = code or code_mapping_for_parameters(params.ell, params.alpha)
-        namers = [
-            (
-                lambda m, i=i: linear_clique_node(i, m),
-                lambda h, r, i=i: linear_code_node(i, h, r),
+        self.graph = WeightedGraph()
+        self.layouts: List[BaseGraphLayout] = [
+            add_base_graph(
+                self.graph,
+                params,
+                self.code,
+                a_namer=lambda m, i=i: linear_clique_node(i, m),
+                c_namer=lambda h, r, i=i: linear_code_node(i, h, r),
+                enforce_code_distance=enforce_code_distance,
             )
             for i in range(params.t)
         ]
-        store = get_store()
-        key = None
-        cached = MISS
-        if store is not None:
-            key = store.key_for(
-                "gadgets.linear_graph",
-                fixed_graph_key_params(
-                    params,
-                    self.code,
-                    enforce_code_distance=enforce_code_distance,
-                    remove_matching=remove_matching,
-                ),
-                GADGET_MODULES,
-            )
-            cached = store.get(key)
-        if cached is not MISS:
-            self.graph = cached
-            self.layouts = [
-                build_layout(
-                    params,
-                    self.code,
-                    a_namer,
-                    c_namer,
-                    enforce_code_distance=enforce_code_distance,
-                )
-                for a_namer, c_namer in namers
-            ]
-        else:
-            self.graph = WeightedGraph()
-            self.layouts: List[BaseGraphLayout] = []
-            for a_namer, c_namer in namers:
-                self.layouts.append(
-                    add_base_graph(
-                        self.graph,
-                        params,
-                        self.code,
-                        a_namer=a_namer,
-                        c_namer=c_namer,
-                        enforce_code_distance=enforce_code_distance,
-                    )
-                )
-            self._add_intercopy_wiring(remove_matching)
-            if store is not None:
-                store.put(key, "gadgets.linear_graph", "graph", self.graph)
+        self._add_intercopy_wiring(remove_matching)
         self._partition = [set(layout.all_nodes()) for layout in self.layouts]
 
     def _add_intercopy_wiring(self, remove_matching: bool) -> None:

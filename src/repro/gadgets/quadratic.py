@@ -13,19 +13,14 @@ bound is near-quadratic.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..codes import CodeMapping, code_mapping_for_parameters
 from ..commcc import BitString, index_pair_to_flat, promise_pairwise_disjointness
 from ..framework.family import LowerBoundFamily
 from ..framework.gap import GapPredicate
 from ..graphs import Node, WeightedGraph
-from .base_graph import (
-    BaseGraphLayout,
-    add_base_graph,
-    build_layout,
-    fixed_graph_key_params,
-)
+from .base_graph import BaseGraphLayout, add_base_graph
 from .node_ids import quad_clique_node, quad_code_node
 from .parameters import GadgetParameters
 
@@ -38,58 +33,25 @@ class QuadraticConstruction:
     def __init__(
         self, params: GadgetParameters, code: Optional[CodeMapping] = None
     ) -> None:
-        from ..store import GADGET_MODULES, MISS, get_store
-
         self.params = params
         self.code = code or code_mapping_for_parameters(params.ell, params.alpha)
-        namers = [
+        self.graph = WeightedGraph()
+        # layouts[b][i] is the base-graph copy H^(i, b) living in G^b.
+        self.layouts: List[List[BaseGraphLayout]] = [
             [
-                (
-                    lambda m, i=i, b=b: quad_clique_node(i, b, m),
-                    lambda h, r, i=i, b=b: quad_code_node(i, b, h, r),
+                add_base_graph(
+                    self.graph,
+                    params,
+                    self.code,
+                    a_namer=lambda m, i=i, b=b: quad_clique_node(i, b, m),
+                    c_namer=lambda h, r, i=i, b=b: quad_code_node(i, b, h, r),
                 )
                 for i in range(params.t)
             ]
             for b in _COPIES
         ]
-        store = get_store()
-        key = None
-        cached = MISS
-        if store is not None:
-            # The cached graph carries the fixed w_F weights already.
-            key = store.key_for(
-                "gadgets.quadratic_graph",
-                fixed_graph_key_params(params, self.code),
-                GADGET_MODULES,
-            )
-            cached = store.get(key)
-        # layouts[b][i] is the base-graph copy H^(i, b) living in G^b.
-        if cached is not MISS:
-            self.graph = cached
-            self.layouts: List[List[BaseGraphLayout]] = [
-                [
-                    build_layout(params, self.code, a_namer, c_namer)
-                    for a_namer, c_namer in namers[b]
-                ]
-                for b in _COPIES
-            ]
-        else:
-            self.graph = WeightedGraph()
-            self.layouts = [[], []]
-            for b in _COPIES:
-                for a_namer, c_namer in namers[b]:
-                    layout = add_base_graph(
-                        self.graph,
-                        params,
-                        self.code,
-                        a_namer=a_namer,
-                        c_namer=c_namer,
-                    )
-                    self.layouts[b].append(layout)
-            self._add_intercopy_wiring()
-            self._apply_fixed_weights()
-            if store is not None:
-                store.put(key, "gadgets.quadratic_graph", "graph", self.graph)
+        self._add_intercopy_wiring()
+        self._apply_fixed_weights()
         self._partition = [
             set(self.layouts[0][i].all_nodes()) | set(self.layouts[1][i].all_nodes())
             for i in range(params.t)

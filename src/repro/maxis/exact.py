@@ -92,38 +92,12 @@ def max_weight_independent_set(
     it is independent in ``graph``, the search starts just below its
     weight instead of from nothing, which prunes more and never changes
     the returned witness (see :func:`_solve_ordered_masks`).  Anything
-    else is ignored.  The hint is not part of the store key.
+    else is ignored.
 
-    Optima are memoized as witness node sets under ``maxis.solution``
-    when the result store is configured.  The key fingerprints the
-    solver modules, so a solver change never reads an older witness.  A cached
-    witness is re-wrapped in :class:`IndependentSetResult`, whose
-    constructor re-validates independence and recomputes the weight
-    against the *live* graph, so a hit can never return an invalid set —
-    at worst a stale entry falls through to a fresh solve.
+    The solver keeps no memo: a solve of a gadget instance costs less
+    than deriving a store key for its graph (docs/CACHING.md), so only
+    whole work units are cached.
     """
-    from ..store import MAXIS_MODULES, MISS, get_store
-
-    store = get_store()
-    if store is None:
-        return _solve(graph, stats, incumbent)
-    key = store.key_for("maxis.solution", {"graph": graph}, MAXIS_MODULES)
-    nodes = store.get(key)
-    if nodes is not MISS:
-        try:
-            return IndependentSetResult(graph, nodes)
-        except (KeyError, ValueError):
-            pass  # witness doesn't fit this graph: recompute below
-    result = _solve(graph, stats, incumbent)
-    store.put(key, "maxis.solution", "node_list", list(result.nodes))
-    return result
-
-
-def _solve(
-    graph: WeightedGraph,
-    stats: Optional[BranchAndBoundStats],
-    incumbent: Optional[Iterable[Node]],
-) -> IndependentSetResult:
     _validate_weights(graph)
     seed = _incumbent_seed(graph, incumbent)
     # The cached solver index form is already in branching order

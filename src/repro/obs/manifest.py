@@ -60,20 +60,40 @@ def ensure_json_native(value: Any, where: str = "value") -> None:
 
 @functools.lru_cache(maxsize=1)
 def _git_sha() -> str:
-    """The repository's short HEAD SHA, or ``"unknown"`` outside git."""
+    """The repository's short HEAD SHA (see :func:`_tree_sha`)."""
+    return _tree_sha(pathlib.Path(__file__).resolve().parent)
+
+
+def _tree_sha(directory: pathlib.Path) -> str:
+    """Short HEAD SHA of the checkout holding ``directory``.
+
+    ``-dirty`` is appended when a tracked file differs from HEAD, so
+    evidence produced from uncommitted code never passes for the commit.
+    Untracked files do not count.  ``"unknown"`` outside git.
+    """
+    sha = _git(directory, "rev-parse", "--short=12", "HEAD")
+    if not sha:
+        return "unknown"
+    if _git(directory, "status", "--porcelain", "--untracked-files=no"):
+        return f"{sha}-dirty"
+    return sha
+
+
+def _git(directory: pathlib.Path, *args: str) -> Optional[str]:
+    """``git args`` run in ``directory``: stripped stdout, ``None`` on failure."""
     try:
         result = subprocess.run(
-            ["git", "rev-parse", "--short=12", "HEAD"],
-            cwd=pathlib.Path(__file__).resolve().parent,
+            ["git", *args],
+            cwd=directory,
             capture_output=True,
             text=True,
             timeout=10,
         )
     except (OSError, subprocess.SubprocessError):
-        return "unknown"
+        return None
     if result.returncode != 0:
-        return "unknown"
-    return result.stdout.strip() or "unknown"
+        return None
+    return result.stdout.strip()
 
 
 def _hostname() -> str:

@@ -1,9 +1,10 @@
 """repro.store — the content-addressed result store.
 
-Every expensive object in the reproduction — gadget graphs, code
-tables, exact MaxIS optima, whole sweep reports — is a pure function of
-its parameters and of the code that computes it.  This package
-memoizes them under content addresses: SHA-256 keys over (job kind,
+Every work unit of the reproduction — a sweep point, a claim check, a
+gadget graph, a MaxIS solve — is a pure function of its parameters and
+of the code that computes it.  This package memoizes whole units (and
+the greedy code-table search, the one step inside them that costs more
+than its lookup) under content addresses: SHA-256 keys over (job kind,
 canonicalized params, per-module source fingerprint), so entries
 self-invalidate the moment the producing code changes
 (``docs/CACHING.md``).

@@ -64,7 +64,12 @@ class GraphCodec(Codec):
 
 
 class NodeListCodec(Codec):
-    """A collection of graph nodes, stored sorted for stable bytes."""
+    """A collection of graph nodes, sorted for stable bytes.
+
+    No kind is stored with it: it is the canonical form of a witness
+    node set, which the ``maxis_solve`` unit's ``witness`` field (and so
+    every ``/v1/maxis`` body) matches byte for byte.
+    """
 
     name = "node_list"
 

@@ -1,5 +1,6 @@
 """Tests for the exact branch-and-bound MaxIS solver."""
 
+import json
 import random
 
 import networkx as nx
@@ -22,6 +23,7 @@ from repro.gadgets import (
     smallest_meaningful_linear_parameters,
 )
 from repro.graphs import WeightedGraph, clique, random_graph
+from repro.graphs.serialize import decode_node
 from repro.maxis import (
     BranchAndBoundStats,
     brute_force_max_weight_independent_set,
@@ -30,8 +32,9 @@ from repro.maxis import (
     max_weight_independent_set,
 )
 from repro.maxis.exact import _solve_ordered_masks
+from repro.parallel import WorkUnit, run_units
 from repro.parallel.engine import THEOREM2_POINTS
-from repro.store import using_store
+from repro.store import JOB_SPECS, combined_fingerprint, derive_key, using_store
 
 
 class TestSmallGraphs:
@@ -357,18 +360,32 @@ class TestIncumbent:
             ) == plain
 
     def test_store_key_and_payload_do_not_see_the_incumbent(self, monkeypatch):
+        # The solver keeps no memo; the ``maxis_solve`` unit is what the
+        # store keys.  Its key is the graph and mode alone, so the witness
+        # stored under it must be the one a warm-started solve returns.
         graph, witness = next(iter(_intersecting_instances())).values
+        kwargs = {"graph": graph, "mode": "exact"}
         writes = []
+        with using_store("memory") as store:
+            monkeypatch.setattr(
+                store.backend,
+                "put",
+                lambda key, codec, data, kind="": writes.append(
+                    (key, codec, data, kind)
+                ),
+            )
+            run_units([WorkUnit("maxis/0", "maxis_solve", kwargs)], workers=1)
+        assert [(key, kind) for key, _, _, kind in writes] == [
+            (
+                derive_key(
+                    "parallel.maxis_solve",
+                    kwargs,
+                    combined_fingerprint(JOB_SPECS["maxis_solve"].modules),
+                ),
+                "parallel.maxis_solve",
+            )
+        ]
+        stored = json.loads(writes[0][2])["witness"]
         for incumbent in (None, witness):
-            with using_store("memory") as store:
-                monkeypatch.setattr(
-                    store.backend,
-                    "put",
-                    lambda key, codec, data, kind="": writes.append(
-                        (key, codec, data, kind)
-                    ),
-                )
-                max_weight_independent_set(graph, incumbent=incumbent)
-        assert len(writes) == 2
-        assert writes[0] == writes[1]
-        assert writes[0][3] == "maxis.solution"
+            result = max_weight_independent_set(graph, incumbent=incumbent)
+            assert sorted(map(decode_node, stored)) == sorted(result.nodes)

@@ -1,6 +1,8 @@
 """Tests for JSONL sinks, stats replay, run manifests, and bench publish."""
 
 import json
+import shutil
+import subprocess
 
 import pytest
 
@@ -262,6 +264,53 @@ class TestProvenanceDegradation:
             assert provenance["hostname"] == "unknown"
         finally:
             manifest_mod._git_sha.cache_clear()
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs the git CLI")
+class TestDirtyTree:
+    """A tree with uncommitted tracked changes is marked ``-dirty``."""
+
+    @pytest.fixture
+    def checkout(self, tmp_path):
+        def git(*args):
+            return subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+                cwd=tmp_path,
+                check=True,
+                capture_output=True,
+                text=True,
+            ).stdout.strip()
+
+        git("init", "-q")
+        (tmp_path / "tracked.txt").write_text("one\n")
+        git("add", "tracked.txt")
+        git("commit", "-q", "-m", "initial")
+        return tmp_path, git("rev-parse", "--short=12", "HEAD")
+
+    def test_clean_tree_is_the_bare_sha(self, checkout):
+        from repro.obs.manifest import _tree_sha
+
+        root, sha = checkout
+        assert _tree_sha(root) == sha
+
+    def test_modified_tracked_file_marks_the_tree_dirty(self, checkout):
+        from repro.obs.manifest import _tree_sha
+
+        root, sha = checkout
+        (root / "tracked.txt").write_text("two\n")
+        assert _tree_sha(root) == f"{sha}-dirty"
+
+    def test_untracked_file_alone_keeps_the_tree_clean(self, checkout):
+        from repro.obs.manifest import _tree_sha
+
+        root, sha = checkout
+        (root / "untracked.txt").write_text("new\n")
+        assert _tree_sha(root) == sha
+
+    def test_outside_git_is_unknown(self, tmp_path):
+        from repro.obs.manifest import _tree_sha
+
+        assert _tree_sha(tmp_path) == "unknown"
 
 
 class TestBenchPublish:

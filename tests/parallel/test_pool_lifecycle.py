@@ -18,8 +18,8 @@ import time
 import pytest
 
 from repro import store
-from repro.core import report_to_json
-from repro.parallel import WorkUnit, jobs, run_units, theorem1_units
+from repro.gadgets import GadgetParameters
+from repro.parallel import WorkUnit, claims_units, jobs, run_units
 from repro.parallel import backends as backends_module
 
 _CONTEXT = backends_module._multiprocessing_context()
@@ -72,15 +72,19 @@ class TestIdleDeath:
 
 class TestStoreChange:
     def test_disk_store_reaches_workers_forked_with_the_store_off(self, tmp_path):
-        units = theorem1_units(3, num_samples=1, seed=0)
+        # q = ell + alpha = 6 is no prime power, so building the gadget
+        # runs the greedy code search, the one step inside a unit that
+        # is stored on its own.
+        units = claims_units(GadgetParameters(ell=5, alpha=1, t=2), num_samples=1)
         off = run_units(units, workers=2)
         with store.using_store("disk", path=str(tmp_path)) as active:
             on = run_units(units, workers=2)
             kinds = active.backend.stats()["kinds"]
-        assert list(map(report_to_json, on)) == list(map(report_to_json, off))
-        # Only workers solve and build: the parent writes sweep points.
-        assert "maxis.solution" in kinds
-        assert any(kind.startswith("gadgets.") for kind in kinds)
+        codec = store.get_codec("claim_check")
+        assert list(map(codec.encode, on)) == list(map(codec.encode, off))
+        # Only workers search codes: the parent writes whole units.
+        assert "codes.code_mapping" in kinds
+        assert kinds["parallel.linear_claim"]["entries"] == len(units)
 
 
 _CHILD = """
