@@ -560,41 +560,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _cache_data(recorder) -> Optional[dict]:
-    """The cache.* metrics as a plain dict, or ``None`` while caching is off.
-
-    Callers skip the section when caching is off.  With a store
-    configured the section is always there, zeros included: the
-    simulation caches no whole unit, so it shows that nothing was read
-    or written.
-    """
-    from . import store
-
-    if store.get_store() is None:
-        return None
-    hits = int(recorder.counters.get("cache.hit", 0))
-    misses = int(recorder.counters.get("cache.miss", 0))
-    bytes_written = int(recorder.counters.get("cache.bytes_written", 0))
-    total = hits + misses
-    data = {
-        "hits": hits,
-        "misses": misses,
-        "hit_rate": hits / total if total else None,
-        "bytes_written": bytes_written,
-        "lookup_p50_s": None,
-        "lookup_p99_s": None,
-    }
-    lookup = recorder.timer_summaries().get("cache.lookup")
-    if lookup:
-        data["lookup_p50_s"] = lookup["p50"]
-        data["lookup_p99_s"] = lookup["p99"]
-    return data
-
-
 #: Shape of the ``repro telemetry --json`` document; bumped whenever a
 #: field is renamed/removed so downstream consumers (``repro dashboard``
 #: and anything else parsing the output) can key off it.
-TELEMETRY_SCHEMA_VERSION = 1
+TELEMETRY_SCHEMA_VERSION = 2
 
 #: The per-round distributions the telemetry surfaces, in table order.
 _TELEMETRY_METRICS = (
@@ -609,11 +578,10 @@ def telemetry_data(seed: int = 0) -> dict:
     """Machine-readable Theorem 5 telemetry (the ``--json`` document).
 
     Runs the seeded simulation pair under a recorder and returns the
-    per-round traffic distributions, the per-side cut-traffic bounds,
-    and any cache activity — the same numbers the ``repro telemetry``
-    tables render, as a JSON-native dict.  Deterministic for a given
-    seed.  Respects a configured result store (``--cache``); the
-    dashboard collector calls this directly.
+    per-round traffic distributions and the per-side cut-traffic
+    bounds — the same numbers the ``repro telemetry`` tables render, as
+    a JSON-native dict.  Deterministic for a given seed.  The dashboard
+    collector calls this directly.
     """
     from . import obs
 
@@ -643,7 +611,6 @@ def telemetry_data(seed: int = 0) -> dict:
             name: summaries[name] for name in _TELEMETRY_METRICS if name in summaries
         },
         "sides": sides,
-        "cache": _cache_data(recorder),
         "consistent": consistent,
     }
 
@@ -652,8 +619,7 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
     """Run the Theorem 5 simulation and table its traffic distributions."""
     from .obs.metrics import render_summary_rows
 
-    with _cached(args):
-        data = telemetry_data(seed=args.seed)
+    data = telemetry_data(seed=args.seed)
     if args.json:
         print(json.dumps(data, indent=2, sort_keys=True))
         return 0 if data["consistent"] else 1
@@ -693,32 +659,6 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
             title="Observed cut traffic vs the Theorem 5 ceiling",
         )
     )
-    cache = data["cache"]
-    if cache is not None:
-        cache_rows: List[List[object]] = [
-            ["hits", cache["hits"]],
-            ["misses", cache["misses"]],
-            [
-                "hit rate",
-                f"{cache['hit_rate']:.1%}" if cache["hit_rate"] is not None else "n/a",
-            ],
-            ["bytes written", cache["bytes_written"]],
-        ]
-        if cache["lookup_p50_s"] is not None:
-            cache_rows.append(
-                ["lookup p50 (ms)", round(cache["lookup_p50_s"] * 1000.0, 3)]
-            )
-            cache_rows.append(
-                ["lookup p99 (ms)", round(cache["lookup_p99_s"] * 1000.0, 3)]
-            )
-        print()
-        print(
-            render_table(
-                ["cache", "value"],
-                cache_rows,
-                title="Result store (cache.* counters)",
-            )
-        )
     return 0 if data["consistent"] else 1
 
 
@@ -1177,7 +1117,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the telemetry as a JSON document instead of tables",
     )
-    _add_cache_args(telemetry)
     telemetry.set_defaults(func=cmd_telemetry)
 
     bench = subparsers.add_parser(

@@ -195,28 +195,19 @@ def _telemetry_section(data: Dict[str, Any]) -> List[str]:
 
 def _cache_section(data: Dict[str, Any]) -> List[str]:
     out = ["<h2>Result store</h2>"]
-    caches = [
-        ("aggregated over run manifests", data.get("cache")),
-        ("telemetry run", (data.get("telemetry") or {}).get("cache")),
-    ]
-    shown = False
-    for label, cache in caches:
-        if not cache:
-            continue
-        shown = True
-        rate = (
-            f"{cache['hit_rate']:.1%}" if cache.get("hit_rate") is not None else "n/a"
-        )
-        out.append(
-            f'<p class="meta">{_esc(label)}: {cache["hits"]} hits / '
-            f'{cache["misses"]} misses ({rate}), '
-            f'{cache["bytes_written"]} bytes written.</p>'
-        )
-    if not shown:
+    cache = data.get("cache")
+    if not cache:
         out.append(
             '<p class="meta">No cache.* counters recorded — runs were made '
             "with the result store off.</p>"
         )
+        return out
+    rate = f"{cache['hit_rate']:.1%}" if cache.get("hit_rate") is not None else "n/a"
+    out.append(
+        f'<p class="meta">aggregated over run manifests: {cache["hits"]} hits / '
+        f'{cache["misses"]} misses ({rate}), '
+        f'{cache["bytes_written"]} bytes written.</p>'
+    )
     return out
 
 

@@ -84,6 +84,22 @@ def store_mode() -> str:
     return _STORE.name if _STORE is not None else "off"
 
 
+def _new_store(
+    mode: Optional[str], path: Optional[str], max_bytes: Optional[int]
+) -> Optional[ResultStore]:
+    global _MEMORY_BACKEND
+    if mode is None or mode == "off":
+        return None
+    if mode == "memory":
+        _MEMORY_BACKEND = MemoryBackend(
+            max_bytes if max_bytes is not None else DEFAULT_MEMORY_BUDGET
+        )
+        return ResultStore(_MEMORY_BACKEND)
+    if mode == "disk":
+        return ResultStore(DiskBackend(path))
+    raise ValueError(f"unknown cache mode {mode!r}; expected off|memory|disk")
+
+
 def configure(
     mode: Optional[str],
     path: Optional[str] = None,
@@ -94,20 +110,12 @@ def configure(
     ``memory`` always starts a fresh LRU (``max_bytes`` budget);
     ``disk`` opens the sqlite-indexed tree at ``path`` (default
     ``$REPRO_CACHE_DIR`` or ``.repro-cache``), creating it on first use.
+    The store it replaces is closed.
     """
-    global _STORE, _MEMORY_BACKEND
-    if mode is None or mode == "off":
-        _STORE = None
-        return None
-    if mode == "memory":
-        _MEMORY_BACKEND = MemoryBackend(
-            max_bytes if max_bytes is not None else DEFAULT_MEMORY_BUDGET
-        )
-        _STORE = ResultStore(_MEMORY_BACKEND)
-    elif mode == "disk":
-        _STORE = ResultStore(DiskBackend(path))
-    else:
-        raise ValueError(f"unknown cache mode {mode!r}; expected off|memory|disk")
+    global _STORE
+    previous, _STORE = _STORE, _new_store(mode, path, max_bytes)
+    if previous is not None:
+        previous.close()
     return _STORE
 
 
@@ -117,13 +125,19 @@ def using_store(
     path: Optional[str] = None,
     max_bytes: Optional[int] = None,
 ) -> Iterator[Optional[ResultStore]]:
-    """Scope a store configuration to a block, restoring the previous one."""
+    """Scope a store configuration to a block, restoring the previous one.
+
+    The store active at the end of the block is closed.
+    """
     global _STORE, _MEMORY_BACKEND
     previous_store = _STORE
     previous_memory = _MEMORY_BACKEND
+    _STORE = _new_store(mode, path, max_bytes)
     try:
-        yield configure(mode, path=path, max_bytes=max_bytes)
+        yield _STORE
     finally:
+        if _STORE is not None:
+            _STORE.close()
         _STORE = previous_store
         _MEMORY_BACKEND = previous_memory
 

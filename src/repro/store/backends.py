@@ -1,7 +1,7 @@
 """Storage backends: in-process LRU and the shared on-disk store.
 
-Both speak the same four-method contract — ``get``/``put``/``clear``/
-``stats`` over ``(codec_name, payload_bytes)`` values — so the
+Both speak the same contract — ``get``/``put``/``clear``/``stats``
+over ``(codec_name, payload_bytes)`` values, and ``close`` — so the
 :class:`~repro.store.store.ResultStore` is backend-agnostic.
 
 The disk backend is the multi-process one: a sqlite index
@@ -9,9 +9,10 @@ The disk backend is the multi-process one: a sqlite index
 every payload is written to a process-private temp file then
 ``os.replace``d into place, so concurrent writers of the *same* key
 race harmlessly (both write identical content-addressed bytes) and a
-reader never observes a half-written payload.  Index I/O is defensive:
-a locked or corrupt index degrades to misses, never to exceptions on
-the compute path.
+reader never observes a half-written payload.  Each process and thread
+keeps one index connection in WAL mode.  Index I/O is defensive: a
+locked or corrupt index degrades to misses, never to exceptions on the
+compute path.
 """
 
 from __future__ import annotations
@@ -20,15 +21,22 @@ import contextlib
 import os
 import pathlib
 import sqlite3
+import threading
 import time
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 #: Default byte budget for the in-process LRU backend.
 DEFAULT_MEMORY_BUDGET = 64 * 1024 * 1024
 
 #: Default on-disk cache root, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
+
+
+#: Index connections a forked child inherited from a backend it closed.
+#: They stay referenced so they are never closed in the child, where
+#: closing could release or checkpoint state the parent's sqlite owns.
+_INHERITED: List[List[Any]] = []
 
 
 def default_cache_dir() -> str:
@@ -60,6 +68,9 @@ class MemoryBackend:
             return None
         self._entries.move_to_end(key)
         return entry[0], entry[1]
+
+    def close(self) -> None:
+        """Nothing to release: the entries die with the backend."""
 
     def put(self, key: str, codec: str, data: bytes, kind: str = "") -> None:
         """Insert (or refresh) an entry, evicting LRU to fit the budget."""
@@ -106,9 +117,12 @@ class DiskBackend:
         <root>/objects/<key[:2]>/<key>.bin   one payload per key
 
     Safe for concurrent multi-process use: payloads land via atomic
-    write-then-rename, the index uses one short-lived connection per
-    operation with a busy timeout, and any sqlite error downgrades to a
-    miss (``get``) or a skipped write (``put``).
+    write-then-rename, and any sqlite error downgrades to a miss
+    (``get``) or a skipped write (``put``).  The index is reached through
+    one kept connection per (process, thread) in WAL mode with
+    ``synchronous=NORMAL``, in autocommit, so no read snapshot outlives
+    the statement that took it.  :meth:`close` closes this process's
+    connections; the next operation reopens one.
     """
 
     name = "disk"
@@ -121,25 +135,72 @@ class DiskBackend:
         )
         self.objects_dir = self.root / "objects"
         self.index_path = self.root / "index.sqlite"
+        #: (pid, thread id) -> [connection, busy timeout it was set to].
+        self._connections: Dict[Tuple[int, int], List[Any]] = {}
         self.objects_dir.mkdir(parents=True, exist_ok=True)
         self._init_index()
 
-    def _connect(self) -> sqlite3.Connection:
-        return sqlite3.connect(str(self.index_path), timeout=self._BUSY_TIMEOUT_S)
+    def _index(self) -> sqlite3.Connection:
+        """This process and thread's index connection, opened on first use.
+
+        The busy timeout follows ``_BUSY_TIMEOUT_S`` as it reads now.
+        """
+        slot = (os.getpid(), threading.get_ident())
+        held = self._connections.get(slot)
+        if held is None:
+            held = self._open(slot)
+        elif held[1] != self._BUSY_TIMEOUT_S:
+            held[0].execute(
+                f"PRAGMA busy_timeout = {int(self._BUSY_TIMEOUT_S * 1000)}"
+            )
+            held[1] = self._BUSY_TIMEOUT_S
+        return held[0]
+
+    def _open(self, slot: Tuple[int, int]) -> List[Any]:
+        # Autocommit (isolation_level=None): each statement is its own
+        # transaction.  check_same_thread=False lets close() close the
+        # connections of other threads.
+        connection = sqlite3.connect(
+            str(self.index_path),
+            timeout=self._BUSY_TIMEOUT_S,
+            isolation_level=None,
+            check_same_thread=False,
+        )
+        try:
+            connection.execute("PRAGMA journal_mode=WAL")
+            connection.execute("PRAGMA synchronous=NORMAL")
+        except sqlite3.Error:
+            connection.close()
+            raise
+        held = self._connections[slot] = [connection, self._BUSY_TIMEOUT_S]
+        return held
+
+    def close(self) -> None:
+        """Close this process's index connections, in every thread.
+
+        A forked child sets the connections it inherited aside, open.
+        """
+        pid = os.getpid()
+        for slot in list(self._connections):
+            held = self._connections.pop(slot, None)
+            if held is None:
+                continue
+            if slot[0] == pid:
+                held[0].close()
+            else:
+                _INHERITED.append(held)
 
     def _init_index(self) -> None:
-        with contextlib.closing(self._connect()) as connection:
-            connection.execute(
-                "CREATE TABLE IF NOT EXISTS entries ("
-                "  key TEXT PRIMARY KEY,"
-                "  kind TEXT NOT NULL,"
-                "  codec TEXT NOT NULL,"
-                "  path TEXT NOT NULL,"
-                "  nbytes INTEGER NOT NULL,"
-                "  created_s REAL NOT NULL"
-                ")"
-            )
-            connection.commit()
+        self._index().execute(
+            "CREATE TABLE IF NOT EXISTS entries ("
+            "  key TEXT PRIMARY KEY,"
+            "  kind TEXT NOT NULL,"
+            "  codec TEXT NOT NULL,"
+            "  path TEXT NOT NULL,"
+            "  nbytes INTEGER NOT NULL,"
+            "  created_s REAL NOT NULL"
+            ")"
+        )
 
     def _payload_path(self, key: str) -> pathlib.Path:
         return self.objects_dir / key[:2] / f"{key}.bin"
@@ -147,10 +208,9 @@ class DiskBackend:
     def get(self, key: str) -> Optional[Tuple[str, bytes]]:
         """Return ``(codec_name, payload)`` or ``None``."""
         try:
-            with contextlib.closing(self._connect()) as connection:
-                row = connection.execute(
-                    "SELECT codec, path FROM entries WHERE key = ?", (key,)
-                ).fetchone()
+            row = self._index().execute(
+                "SELECT codec, path FROM entries WHERE key = ?", (key,)
+            ).fetchone()
         except sqlite3.Error:
             return None
         if row is None:
@@ -180,21 +240,19 @@ class DiskBackend:
                 temporary.unlink()
             return
         try:
-            with contextlib.closing(self._connect()) as connection:
-                connection.execute(
-                    "INSERT OR REPLACE INTO entries"
-                    " (key, kind, codec, path, nbytes, created_s)"
-                    " VALUES (?, ?, ?, ?, ?, ?)",
-                    (
-                        key,
-                        kind,
-                        codec,
-                        str(path.relative_to(self.root)),
-                        len(data),
-                        time.time(),
-                    ),
-                )
-                connection.commit()
+            self._index().execute(
+                "INSERT OR REPLACE INTO entries"
+                " (key, kind, codec, path, nbytes, created_s)"
+                " VALUES (?, ?, ?, ?, ?, ?)",
+                (
+                    key,
+                    kind,
+                    codec,
+                    str(path.relative_to(self.root)),
+                    len(data),
+                    time.time(),
+                ),
+            )
         except sqlite3.Error:
             pass  # payload is in place; the next writer re-indexes it
 
@@ -202,9 +260,7 @@ class DiskBackend:
         """Drop index and payloads; return ``(entries, bytes)`` removed."""
         stats = self.stats()
         try:
-            with contextlib.closing(self._connect()) as connection:
-                connection.execute("DELETE FROM entries")
-                connection.commit()
+            self._index().execute("DELETE FROM entries")
         except sqlite3.Error:
             pass
         for directory, _, filenames in os.walk(self.objects_dir):
@@ -228,16 +284,14 @@ class DiskBackend:
         total_bytes = 0
         indexed_paths = set()
         try:
-            with contextlib.closing(self._connect()) as connection:
-                rows = connection.execute(
-                    "SELECT kind, COUNT(*), SUM(nbytes) FROM entries GROUP BY kind"
-                ).fetchall()
-                indexed_paths = {
-                    path
-                    for (path,) in connection.execute(
-                        "SELECT path FROM entries"
-                    ).fetchall()
-                }
+            connection = self._index()
+            rows = connection.execute(
+                "SELECT kind, COUNT(*), SUM(nbytes) FROM entries GROUP BY kind"
+            ).fetchall()
+            indexed_paths = {
+                path
+                for (path,) in connection.execute("SELECT path FROM entries").fetchall()
+            }
         except sqlite3.Error:
             rows = []
         for kind, count, nbytes in rows:

@@ -7,9 +7,10 @@ changes the fingerprint, changes the key, and turns every stale entry
 into a silent miss — no explicit invalidation step, no version bump to
 forget.
 
-Fingerprints are memoized per process (source files do not change under
-a running sweep); :func:`clear_fingerprint_cache` exists for tests that
-rewrite module files on disk.
+Fingerprints, and their combinations per module set, are memoized per
+process (source files do not change under a running sweep);
+:func:`clear_fingerprint_cache` exists for tests that rewrite module
+files on disk.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import os
-from typing import Dict, Iterable
+from typing import Dict, FrozenSet, Iterable
 
 _CACHE: Dict[str, str] = {}
+_COMBINED: Dict[FrozenSet[str], str] = {}
 
 
 def module_fingerprint(name: str) -> str:
@@ -51,16 +53,21 @@ def _compute_fingerprint(name: str) -> str:
 
 
 def combined_fingerprint(names: Iterable[str]) -> str:
-    """One digest over a set of modules, order-insensitive."""
-    digest = hashlib.sha256()
-    for name in sorted(set(names)):
-        digest.update(name.encode("utf-8"))
-        digest.update(b"\0")
-        digest.update(module_fingerprint(name).encode("utf-8"))
-        digest.update(b"\n")
-    return digest.hexdigest()
+    """One digest over a set of modules, order-insensitive (memoized)."""
+    modules = frozenset(names)
+    cached = _COMBINED.get(modules)
+    if cached is None:
+        digest = hashlib.sha256()
+        for name in sorted(modules):
+            digest.update(name.encode("utf-8"))
+            digest.update(b"\0")
+            digest.update(module_fingerprint(name).encode("utf-8"))
+            digest.update(b"\n")
+        cached = _COMBINED[modules] = digest.hexdigest()
+    return cached
 
 
 def clear_fingerprint_cache() -> None:
     """Drop memoized fingerprints (tests rewrite module files)."""
     _CACHE.clear()
+    _COMBINED.clear()

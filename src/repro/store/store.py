@@ -39,6 +39,10 @@ class ResultStore:
         """The backend's mode name (``memory`` or ``disk``)."""
         return self.backend.name
 
+    def close(self) -> None:
+        """Release what the backend holds open (its index connections)."""
+        self.backend.close()
+
     def key_for(self, kind: str, params: Any, modules: Iterable[str]) -> str:
         """Derive the content address of one computation."""
         return derive_key(kind, params, combined_fingerprint(modules))

@@ -67,6 +67,21 @@ class TestEditInvalidates:
         assert not before.startswith("unresolved:")
         clear_fingerprint_cache()
 
+    def test_source_edit_changes_memoized_combined_fingerprint(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.syspath_prepend(str(tmp_path))
+        names = ["fp_probe_module", "repro.graphs.graph"]
+        self._write_module(tmp_path, "VALUE = 1\n")
+        clear_fingerprint_cache()
+        before = combined_fingerprint(names)
+        self._write_module(tmp_path, "VALUE = 2\n")
+        # Memoized until cleared: a running sweep sees one fingerprint.
+        assert combined_fingerprint(names) == before
+        clear_fingerprint_cache()
+        assert combined_fingerprint(names) != before
+        clear_fingerprint_cache()
+
     def test_source_edit_forces_store_miss(self, tmp_path, monkeypatch):
         monkeypatch.syspath_prepend(str(tmp_path))
         self._write_module(tmp_path, "def compute():\n    return 1\n")

@@ -467,10 +467,9 @@ class TestTelemetryJson:
             "seed",
             "metrics",
             "sides",
-            "cache",
             "consistent",
         }
-        assert data["schema_version"] == TELEMETRY_SCHEMA_VERSION == 1
+        assert data["schema_version"] == TELEMETRY_SCHEMA_VERSION == 2
         assert data["consistent"] is True
         assert set(data["metrics"]) == {
             "congest.round_messages",
@@ -545,11 +544,13 @@ class TestCacheFlags:
                      "--cache", "memory"]) == 0
         assert get_store() is None
 
-    def test_telemetry_prints_cache_section_when_enabled(self, capsys):
-        assert main(["telemetry", "--cache", "memory"]) == 0
-        out = capsys.readouterr().out
-        assert "Result store" in out
-        assert "hit rate" in out
+    def test_telemetry_rejects_cache_flag(self, capsys):
+        # The simulation reaches no cached work unit, so telemetry takes
+        # no --cache flag.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["telemetry", "--cache", "memory"])
+        assert excinfo.value.code == 2
+        assert "--cache" in capsys.readouterr().err
 
     def test_telemetry_omits_cache_section_when_off(self, capsys):
         assert main(["telemetry"]) == 0
